@@ -15,7 +15,12 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .errors import DegenerateStatisticsError, OracleBudgetError, ValidationError
+from .errors import (
+    DegenerateStatisticsError,
+    InternalInconsistencyError,
+    OracleBudgetError,
+    ValidationError,
+)
 from .graph import Graph
 
 EXHAUSTIVE_LIMIT = 9
@@ -120,7 +125,8 @@ def exhaustive_distribution(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> ExactDis
             values = _positions_to_crossings(g, np.array(block, dtype=np.int64))
             for value, count in zip(*np.unique(values, return_counts=True)):
                 counts[int(value)] = counts.get(int(value), 0) + int(count)
-    assert sum(counts.values()) == total
+    if sum(counts.values()) != total:
+        raise InternalInconsistencyError("crossing counts do not cover all n! arrangements")
     s1 = sum(v * c for v, c in counts.items())
     s2 = sum(v * v * c for v, c in counts.items())
     mean = Fraction(s1, total)

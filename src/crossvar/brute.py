@@ -54,7 +54,8 @@ def count_simple_paths(g: Graph, length: int) -> int:
 
     for start in range(g.n):
         extend([start], {start})
-    assert total % 2 == 0
+    if total % 2:
+        raise InternalInconsistencyError("a path was walked in one direction only")
     return total // 2
 
 
@@ -166,7 +167,8 @@ def brute_census(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> CensusReport:
     mu2 = sum(
         len(set(g.adjacency[u]) & set(g.adjacency[v])) for u, v in g.edges()
     )
-    assert mu1_twice % 2 == 0
+    if mu1_twice % 2:
+        raise InternalInconsistencyError("sum of xi over edge ends is odd")
 
     n_p4 = count_simple_paths(g, 4)
     n_p5 = count_simple_paths(g, 5)

@@ -1,24 +1,37 @@
-"""Fast subgraph counts and Q-weighted sums.
+"""Subgraph census: one reduction from degree sums and intersection sums.
 
-Every count here is a single traversal of the edges using sorted-list
-merges for neighborhood intersections; each has a brute-force counterpart
-in :mod:`crossvar.brute` that serves as its oracle.
+Every :class:`CensusReport` field is a closed form in the degree
+aggregates of :mod:`crossvar.graph` and four sums over neighbourhood
+intersections, where ``c_st`` and ``S_st`` are the number and the degree
+sum of the common neighbours of two vertices:
+
+* ``mu2 = sum_e c_st`` (three times the triangle count),
+* ``s_sum = sum_e S_st`` (the degree sum over triangle corners),
+* ``kc_sum = sum_e (k_s + k_t) c_st``,
+* ``c4_scaled = sum over wedges a-x-b of (c_ab - 1)`` (four times the
+  4-cycle count).
+
+:func:`reduce_census` turns these into the census.  The routes differ only
+in where the intersections come from: :func:`fast_census` merges sorted
+adjacency lists on every request, the reuse route of
+:mod:`crossvar.variance` puts the same merge behind a cache keyed by vertex
+pair, and :func:`forest_census` requests none, because all four sums vanish
+on an acyclic graph.  Each count has a brute-force counterpart in
+:mod:`crossvar.brute` that serves as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import combinations
+from typing import Callable
 
-from .errors import ValidationError
-from .graph import (
-    DegreeAggregates,
-    Graph,
-    compute_K,
-    compute_phi1,
-    compute_phi2,
-    compute_q,
-    degree_aggregates,
-)
+from .errors import InternalInconsistencyError, NotAForestError, ValidationError
+from .graph import DegreeAggregates, Graph, compute_K, compute_q, degree_aggregates
+
+#: ``inter(a, b) -> (c_ab, S_ab)`` for two distinct vertices ``a < b``
+Intersect = Callable[[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -60,8 +73,9 @@ class CensusReport:
         }
 
 
-def _merge_intersection(a: tuple[int, ...], b: tuple[int, ...], degrees) -> tuple[int, int]:
-    """Linear merge of two strictly increasing lists: (size, degree sum)."""
+def merge_intersection(g: Graph, u: int, v: int) -> tuple[int, int]:
+    """``(c_uv, S_uv)`` by a linear merge of the two sorted adjacency lists."""
+    a, b, degrees = g.adjacency[u], g.adjacency[v], g.degrees
     i = j = 0
     size = deg = 0
     la, lb = len(a), len(b)
@@ -83,153 +97,119 @@ def neighbor_intersection(g: Graph, u: int, v: int) -> NeighborIntersection:
     """``|c(u,v)|`` and ``S_{u,v}`` in O(k_u + k_v) by sorted-list merge."""
     if u == v:
         raise ValidationError("neighbor_intersection requires two distinct vertices")
-    size, deg = _merge_intersection(g.adjacency[u], g.adjacency[v], g.degrees)
+    size, deg = merge_intersection(g, u, v)
     return NeighborIntersection(size=size, degree_sum=deg)
 
 
-def count_paths4(g: Graph, agg: DegreeAggregates | None = None) -> int:
+def _intersection_sums(g: Graph, inter: Intersect) -> tuple[int, int, int, int]:
+    """``(mu2, s_sum, kc_sum, c4_scaled)``: one request per edge and per wedge.
+
+    Every request has ``a < b``, so a cache can use ``(a, b)`` as its key.
+    Summing ``c_ab - 1`` over the wedges ``a-x-b`` counts each vertex pair
+    ``c_ab (c_ab - 1)`` times, and each 4-cycle has two diagonals.
+    """
+    k = g.degrees
+    mu2 = s_sum = kc_sum = 0
+    for s, t in g.edges():
+        c, d = inter(s, t)
+        mu2 += c
+        s_sum += d
+        kc_sum += (k[s] + k[t]) * c
+    c4_scaled = 0
+    for neighbors in g.adjacency:
+        for a, b in combinations(neighbors, 2):
+            c4_scaled += inter(a, b)[0] - 1
+    return mu2, s_sum, kc_sum, c4_scaled
+
+
+def _exact_quotient(scaled: int, divisor: int, name: str) -> int:
+    if scaled % divisor:
+        raise InternalInconsistencyError(
+            f"{name} scaled by {divisor} is {scaled}, not a multiple of {divisor}"
+        )
+    return scaled // divisor
+
+
+def reduce_census(
+    g: Graph, agg: DegreeAggregates, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int
+) -> CensusReport:
+    """Every census field from degree sums and the four intersection sums.
+
+    The degree-only parts are sums over vertices of ``k``, ``xi`` and their
+    products; the path-5 count uses ``sum_triangles (k_x + k_y + k_z) =
+    s_sum`` in ``nP5 = sum_x [(xi_x - k_x)^2 - k_x (k_x - 1)^2] / 2 - 4 nC4
+    - 2 s_sum + 3 mu2``.
+    """
+    k, xi, m = g.degrees, agg.xi, g.m
+    mmt2, mmt3, psi = agg.mmt2, agg.mmt3, agg.psi
+    sum_k4 = sum(d * d * d * d for d in k)
+    sum_xi2 = sum(x * x for x in xi)
+    sum_k2xi = sum(d * d * x for d, x in zip(k, xi))
+    # per-edge sums of (k_t - 1)(xi_s - k_t) + (k_s - 1)(xi_t - k_s) and of
+    # (k_s + k_t)(k_s - 1)(k_t - 1), gathered by vertex
+    lambda1 = sum_xi2 - mmt3 - 2 * psi + mmt2 - 2 * s_sum
+    lambda2 = lambda1 + sum_k2xi - mmt3 - 2 * psi + mmt2 - kc_sum
+    phi2_twice = mmt2 * mmt2 - 2 * sum_k2xi - sum_xi2 - sum_k4 + mmt3 + 2 * psi
+    n_c4 = _exact_quotient(c4_scaled, 4, "nC4")
+    p5_twice = (
+        sum_xi2 - 4 * psi + 3 * mmt2 - mmt3 - 2 * m
+        - 8 * n_c4 - 4 * s_sum + 6 * mu2
+    )
+    return CensusReport(
+        q=compute_q(g),
+        K=compute_K(g, agg),
+        phi1=(m + 1) * psi - sum_k2xi,
+        phi2=_exact_quotient(phi2_twice, 2, "phi2"),
+        lambda1=lambda1,
+        lambda2=lambda2,
+        mu1=psi,
+        mu2=mu2,
+        nP4=m - mmt2 + psi - mu2,
+        nP5=_exact_quotient(p5_twice, 2, "nP5"),
+        nC3=_exact_quotient(mu2, 3, "nC3"),
+        nC4=n_c4,
+        nPaw=s_sum - 2 * mu2,
+        nC3L2=_exact_quotient((m + 3) * mu2 - kc_sum - s_sum, 3, "nC3L2"),
+    )
+
+
+def fast_census(g: Graph) -> CensusReport:
+    """The paper's general route: a sorted-list merge for every request."""
+    sums = _intersection_sums(g, partial(merge_intersection, g))
+    return reduce_census(g, degree_aggregates(g), *sums)
+
+
+def forest_census(g: Graph) -> CensusReport:
+    """Census of an acyclic graph in time linear in its size.
+
+    A forest has no triangles and no 4-cycles, so every intersection sum
+    is zero and no intersection is requested.
+    """
+    if not g.is_forest():
+        raise NotAForestError("graph contains a cycle")
+    return reduce_census(g, degree_aggregates(g), 0, 0, 0, 0)
+
+
+def count_paths4(g: Graph) -> int:
     """Number of subgraphs isomorphic to the 4-vertex path."""
-    agg = agg or degree_aggregates(g)
-    mu1_twice = 0
-    mu2 = 0
-    for u, v in g.edges():
-        mu1_twice += agg.xi[u] + agg.xi[v]
-        mu2 += _merge_intersection(g.adjacency[u], g.adjacency[v], g.degrees)[0]
-    assert mu1_twice % 2 == 0
-    return g.m - agg.mmt2 + mu1_twice // 2 - mu2
+    return fast_census(g).nP4
 
 
 def count_paths5(g: Graph) -> int:
     """Number of subgraphs isomorphic to the 5-vertex path."""
-    k = g.degrees
-    total = 0
-    for s, t in g.edges():
-        for a, b in ((s, t), (t, s)):
-            # g1(a, b): walks b-a-u extended on both sides
-            for u in g.adjacency[a]:
-                if u == b:
-                    continue
-                aub = 1 if g.adjacent(u, b) else 0
-                c_bu = _merge_intersection(g.adjacency[b], g.adjacency[u], k)[0]
-                total += (k[b] - 1 - aub) * (k[u] - 1 - aub) + 1 - c_bu
-    assert total % 2 == 0
-    return total // 2
+    return fast_census(g).nP5
 
 
 def count_cycles4(g: Graph) -> int:
     """Number of 4-cycles."""
-    total = 0
-    for s, t in g.edges():
-        for pivot, other in ((s, t), (t, s)):
-            # u ranges over the neighbors of `other`, intersected against `pivot`
-            for u in g.adjacency[other]:
-                if u == pivot:
-                    continue
-                total += _merge_intersection(g.adjacency[pivot], g.adjacency[u], g.degrees)[0] - 1
-    # the double loop above visits each ordered (edge, u) once per direction;
-    # each 4-cycle is found 8 times in total
-    assert total % 8 == 0
-    return total // 8
+    return fast_census(g).nC4
 
 
 def count_paw(g: Graph) -> int:
     """Number of subgraphs isomorphic to the paw (triangle plus pendant edge)."""
-    total = 0
-    for u, v in g.edges():
-        size, deg = _merge_intersection(g.adjacency[u], g.adjacency[v], g.degrees)
-        total += deg - 2 * size
-    return total
+    return fast_census(g).nPaw
 
 
 def count_c3l2(g: Graph) -> int:
     """Number of subgraphs isomorphic to a triangle plus one disjoint edge."""
-    total = 0
-    k = g.degrees
-    for u, v in g.edges():
-        size, deg = _merge_intersection(g.adjacency[u], g.adjacency[v], k)
-        total += (g.m - k[u] - k[v] + 3) * size - deg
-    assert total % 3 == 0
-    return total // 3
-
-
-def compute_lambda1(g: Graph, agg: DegreeAggregates | None = None) -> int:
-    """Q-sum of degrees at the far ends of 4-paths, via the per-edge form."""
-    agg = agg or degree_aggregates(g)
-    k, xi = g.degrees, agg.xi
-    total = 0
-    for u, v in g.edges():
-        s_uv = _merge_intersection(g.adjacency[u], g.adjacency[v], k)[1]
-        total += (k[v] - 1) * (xi[u] - k[v]) + (k[u] - 1) * (xi[v] - k[u]) - 2 * s_uv
-    return total
-
-
-def compute_lambda2(g: Graph, agg: DegreeAggregates | None = None) -> int:
-    """Q-sum of all four degrees of 4-paths; builds on compute_lambda1."""
-    agg = agg or degree_aggregates(g)
-    k = g.degrees
-    extra = 0
-    for u, v in g.edges():
-        c_uv = _merge_intersection(g.adjacency[u], g.adjacency[v], k)[0]
-        extra += (k[u] + k[v]) * ((k[u] - 1) * (k[v] - 1) - c_uv)
-    return compute_lambda1(g, agg) + extra
-
-
-def fast_census(g: Graph) -> CensusReport:
-    """Compute the full census in a single pass over the edges."""
-    agg = degree_aggregates(g)
-    k, xi = g.degrees, agg.xi
-    n_p5_twice = 0
-    n_c4_scaled = 0
-    n_paw = 0
-    n_c3l2_tripled = 0
-    mu1_twice = 0
-    mu2 = 0
-    lam1 = 0
-    lam2_extra = 0
-    phi2_twice = 0
-    phi1 = 0
-    for s, t in g.edges():
-        for u1 in g.adjacency[s]:
-            if u1 == t:
-                continue
-            a_tu = 1 if g.adjacent(t, u1) else 0
-            c_tu = _merge_intersection(g.adjacency[t], g.adjacency[u1], k)[0]
-            n_p5_twice += (k[t] - 1 - a_tu) * (k[u1] - 1 - a_tu) + 1 - c_tu
-        for u2 in g.adjacency[t]:
-            if u2 == s:
-                continue
-            a_su = 1 if g.adjacent(s, u2) else 0
-            c_su = _merge_intersection(g.adjacency[s], g.adjacency[u2], k)[0]
-            n_p5_twice += (k[s] - 1 - a_su) * (k[u2] - 1 - a_su) + 1 - c_su
-            n_c4_scaled += c_su - 1
-        c_st, s_st = _merge_intersection(g.adjacency[s], g.adjacency[t], k)
-        n_paw += s_st - 2 * c_st
-        n_c3l2_tripled += (g.m - k[s] - k[t] + 3) * c_st - s_st
-        phi1 -= k[s] * k[t] * (k[s] + k[t])
-        phi2_twice += (k[s] + k[t]) * (
-            agg.mmt2 - xi[s] - xi[t] - k[s] * (k[s] - 1) - k[t] * (k[t] - 1)
-        )
-        mu1_twice += xi[s] + xi[t]
-        mu2 += c_st
-        lam1 += (k[t] - 1) * (xi[s] - k[t]) + (k[s] - 1) * (xi[t] - k[s]) - 2 * s_st
-        lam2_extra += (k[s] + k[t]) * ((k[s] - 1) * (k[t] - 1) - c_st)
-    assert mu1_twice % 2 == 0 and phi2_twice % 2 == 0
-    assert n_p5_twice % 2 == 0 and n_c4_scaled % 4 == 0
-    assert n_c3l2_tripled % 3 == 0 and mu2 % 3 == 0
-    mu1 = mu1_twice // 2
-    return CensusReport(
-        q=compute_q(g),
-        K=compute_K(g, agg),
-        phi1=phi1 + (g.m + 1) * agg.psi,
-        phi2=phi2_twice // 2,
-        lambda1=lam1,
-        lambda2=lam1 + lam2_extra,
-        mu1=mu1,
-        mu2=mu2,
-        nP4=g.m - agg.mmt2 + mu1 - mu2,
-        nP5=n_p5_twice // 2,
-        nC3=mu2 // 3,
-        nC4=n_c4_scaled // 4,
-        nPaw=n_paw,
-        nC3L2=n_c3l2_tripled // 3,
-    )
+    return fast_census(g).nC3L2

@@ -284,7 +284,8 @@ def frequencies_from_subgraph_counts(
     # 3-matchings: each is seen once per (pair in Q, disjoint third edge)
     # and every unordered triple arises from 3 of its pairs
     triple_hits = sum(disjoint_edges({s, t, u, v}) for (s, t), (u, v) in q_pairs)
-    assert triple_hits % 3 == 0
+    if triple_hits % 3:
+        raise InternalInconsistencyError("3-matching hits are not a multiple of 3")
     n_l2x3 = triple_hits // 3
     l3_sets = [set(t) for t in l3s]
     n_l3_l3 = sum(
@@ -314,7 +315,8 @@ def frequencies_from_subgraph_counts(
                 {*q_pairs[i][0], *q_pairs[i][1]} & {*q_pairs[j][0], *q_pairs[j][1]}
             )
         )
-        assert quad_hits % 3 == 0
+        if quad_hits % 3:
+            raise InternalInconsistencyError("4-matching hits are not a multiple of 3")
         f00 = 6 * (quad_hits // 3)
         n_l3_l2_l2 = sum(
             1

@@ -8,17 +8,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterator
 
 from .errors import ValidationError
 from .graph import Graph
-
-FAMILIES = (
-    "complete", "complete_bipartite", "path", "cycle", "star", "quasi_star",
-    "one_regular", "erdos_renyi", "random_tree", "random_forest", "all_trees",
-)
 
 
 def complete(n: int) -> Graph:
@@ -189,36 +183,3 @@ def all_trees(n: int) -> Iterator[Graph]:
                     seen[key] = g2
         current = list(seen.values())
     yield from current
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Name of a graph family plus its parameters."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-
-
-def generate(spec: FamilySpec):
-    """Build the graph (or tree stream) described by a family spec."""
-    fns = {
-        "complete": complete,
-        "complete_bipartite": complete_bipartite,
-        "path": path,
-        "cycle": cycle,
-        "star": star,
-        "quasi_star": quasi_star,
-        "one_regular": one_regular,
-        "erdos_renyi": erdos_renyi,
-        "random_tree": random_tree,
-        "random_forest": random_forest,
-        "all_trees": all_trees,
-    }
-    try:
-        return fns[spec.family](**spec.params)
-    except TypeError as exc:
-        raise ValidationError(f"bad parameters for {spec.family}: {exc}") from None

@@ -13,17 +13,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EdgeListParseError, ValidationError
+from .errors import EdgeListParseError, InternalInconsistencyError, ValidationError
 
 
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     Adjacency lists are strictly increasing tuples; the structure is
-    immutable after construction and safe to share across threads.
+    immutable after construction and safe to share across threads.  The
+    acyclicity test runs once and its answer is kept.
     """
 
-    __slots__ = ("n", "m", "adjacency", "degrees")
+    __slots__ = ("n", "m", "adjacency", "degrees", "_forest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -45,6 +46,7 @@ class Graph:
             tuple(sorted(s)) for s in neighbor_sets
         )
         self.degrees: tuple[int, ...] = tuple(len(s) for s in neighbor_sets)
+        self._forest: bool | None = None
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -53,9 +55,6 @@ class Graph:
         if n is None:
             n = 1 + max((max(u, v) for u, v in edges), default=-1)
         return cls(n, edges)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
 
     def adjacent(self, u: int, v: int) -> bool:
         """Edge test by binary search of the sorted adjacency list."""
@@ -71,21 +70,10 @@ class Graph:
                     yield u, v
 
     def is_forest(self) -> bool:
-        """Acyclicity test by union-find over the edges."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges():
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        """Whether the graph has no cycle; computed on the first call."""
+        if self._forest is None:
+            self._forest = _acyclic(self)
+        return self._forest
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -99,6 +87,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _acyclic(g: Graph) -> bool:
+    """Union-find over the edges: no edge may join two vertices already joined."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ def degree_aggregates(g: Graph) -> DegreeAggregates:
     mmt3 = sum(d * d * d for d in k)
     xi = tuple(sum(k[t] for t in g.adjacency[s]) for s in range(g.n))
     psi = sum(k[u] * k[v] for u, v in g.edges())
-    # double-counting identity: 2*psi == sum_s k_s * xi(s)
-    assert 2 * psi == sum(k[s] * xi[s] for s in range(g.n))
+    if 2 * psi != sum(k[s] * xi[s] for s in range(g.n)):
+        raise InternalInconsistencyError("2*psi differs from sum_s k_s * xi(s)")
     return DegreeAggregates(mmt2=mmt2, mmt3=mmt3, xi=xi, psi=psi)
 
 
@@ -131,33 +137,14 @@ def compute_q(g: Graph) -> int:
     """Number of pairs of vertex-disjoint ("independent") edges."""
     mmt2 = sum(d * d for d in g.degrees)
     q2 = g.m * (g.m + 1) - mmt2
-    assert q2 % 2 == 0 and q2 >= 0
+    if q2 % 2 or q2 < 0:
+        raise InternalInconsistencyError(f"m(m+1) - sum(k^2) = {q2} is odd or negative")
     return q2 // 2
 
 
 def compute_K(g: Graph, agg: DegreeAggregates) -> int:
     """Sum of the four endpoint degrees over all independent edge pairs."""
     return (g.m + 1) * agg.mmt2 - agg.mmt3 - 2 * agg.psi
-
-
-def compute_phi1(g: Graph, agg: DegreeAggregates) -> int:
-    """Sum over independent edge pairs of ``k_s*k_t + k_u*k_v``."""
-    k = g.degrees
-    return (g.m + 1) * agg.psi - sum(
-        k[u] * k[v] * (k[u] + k[v]) for u, v in g.edges()
-    )
-
-
-def compute_phi2(g: Graph, agg: DegreeAggregates) -> int:
-    """Sum over independent edge pairs of ``(k_s + k_t)(k_u + k_v)``."""
-    k, xi = g.degrees, agg.xi
-    total = sum(
-        (k[u] + k[v])
-        * (agg.mmt2 - xi[u] - xi[v] - k[u] * (k[u] - 1) - k[v] * (k[v] - 1))
-        for u, v in g.edges()
-    )
-    assert total % 2 == 0
-    return total // 2
 
 
 def parse_edge_list(text: str) -> Graph:

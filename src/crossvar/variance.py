@@ -3,9 +3,13 @@
 Several routes compute the same exact rational value:
 
 * ``variance_naive``: classify all pairs of independent edge pairs.
-* ``variance_general`` / ``variance_general_reuse``: one pass over the
-  edges building the census, then a grouped closed form.
-* ``variance_forest``: linear-time specialization for acyclic graphs.
+* ``variance_general``, ``variance_general_reuse`` and ``variance_forest``:
+  the census of :mod:`crossvar.census`, turned into the seven type
+  frequencies of :func:`crossvar.frequencies.frequencies_from_census` and
+  weighted by the layout's expectations.  The three share one census
+  reduction and differ only in where neighbourhood intersections come
+  from: a merge per request, the same merge behind a pair cache, or none
+  at all on a forest.
 * ``variance_rla_closed``: single closed form for the uniform random
   linear arrangement layout.
 """
@@ -15,14 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import CensusReport, fast_census, neighbor_intersection
-from .errors import NotAForestError
+from .census import (
+    CensusReport,
+    _intersection_sums,
+    fast_census,
+    forest_census,
+    merge_intersection,
+    reduce_census,
+)
 from .frequencies import (
     CONTRIBUTING_TYPES,
     ExpectationTable,
     FrequencyVector,
     builtin_rla_table,
     frequencies_brute,
+    frequencies_from_census,
 )
 from .graph import Graph, compute_q, degree_aggregates
 
@@ -100,31 +111,18 @@ def variance_naive(g: Graph, table: ExpectationTable | None = None) -> VarianceR
     return _result(g, variance_from_frequencies(freq, table), "naive", table)
 
 
-def _variance_from_census(
-    c: CensusReport, m: int, table: ExpectationTable
-) -> Fraction:
-    """Grouped closed form: census quantities weighted by expectations."""
-    e = table.gamma
-    return (
-        c.q * (e["24"] - 4 * e["13"] + 2 * (m + 2) * e["12"] + 2 * e["021"] + 4 * e["022"])
-        + c.K * (e["13"] - 2 * e["12"] - e["021"] - 2 * e["022"])
-        + c.nP4 * (-2 * e["13"] + 2 * e["12"] - 2 * e["03"] + (m + 5) * e["021"] + 5 * e["022"])
-        + c.nC4 * (2 * e["04"] - 8 * e["03"] + 8 * e["021"] + 4 * e["022"])
-        + c.nPaw * (-2 * e["03"] + 3 * e["021"] + 2 * e["022"])
-        + c.lambda1 * (e["03"] - e["021"])
-        - c.lambda2 * (e["021"] + e["022"])
-        - c.nP5 * e["022"]
-        - 3 * c.nC3L2 * e["021"]
-        + c.phi1 * e["021"]
-        + c.phi2 * e["022"]
-    )
+def _census_result(
+    g: Graph, c: CensusReport, algorithm: str, table: ExpectationTable | None,
+    hash_table_size: int | None = None,
+) -> VarianceResult:
+    table = table or builtin_rla_table()
+    variance = variance_from_frequencies(frequencies_from_census(c, g.m), table)
+    return _result(g, variance, algorithm, table, hash_table_size)
 
 
 def variance_general(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
-    """General-graph route: single edge pass, no memoization."""
-    table = table or builtin_rla_table()
-    c = fast_census(g)
-    return _result(g, _variance_from_census(c, g.m, table), "general", table)
+    """General-graph route: a sorted-list merge for every intersection."""
+    return _census_result(g, fast_census(g), "general", table)
 
 
 def variance_general_reuse(
@@ -132,126 +130,26 @@ def variance_general_reuse(
 ) -> VarianceResult:
     """General-graph route caching neighborhood intersections.
 
-    Intersections are keyed by the unordered vertex pair; the same pair is
-    requested once per triangle corner and once per shared neighbor, so on
-    dense graphs the cache removes most of the merge work.
+    Intersections are keyed by the vertex pair; the census requests one per
+    edge and one per wedge, so on dense graphs, where many wedges share
+    their end points, the cache removes most of the merge work.
+    ``hash_table_size`` is the number of distinct pairs requested.
     """
-    table = table or builtin_rla_table()
-    agg = degree_aggregates(g)
-    k, xi = g.degrees, agg.xi
     cache: dict[tuple[int, int], tuple[int, int]] = {}
 
     def inter(a: int, b: int) -> tuple[int, int]:
-        key = (a, b) if a < b else (b, a)
-        hit = cache.get(key)
+        hit = cache.get((a, b))
         if hit is None:
-            ni = neighbor_intersection(g, a, b)
-            hit = (ni.size, ni.degree_sum)
-            cache[key] = hit
+            hit = cache[a, b] = merge_intersection(g, a, b)
         return hit
 
-    n_p5_twice = n_c4_scaled = n_paw = n_c3l2_tripled = 0
-    mu1_twice = mu2 = lam1 = lam2_extra = 0
-    phi2_twice = phi1 = 0
-    for s, t in g.edges():
-        for u1 in g.adjacency[s]:
-            if u1 == t:
-                continue
-            a_tu = 1 if g.adjacent(t, u1) else 0
-            n_p5_twice += (k[t] - 1 - a_tu) * (k[u1] - 1 - a_tu) + 1 - inter(t, u1)[0]
-        for u2 in g.adjacency[t]:
-            if u2 == s:
-                continue
-            a_su = 1 if g.adjacent(s, u2) else 0
-            c_su = inter(s, u2)[0]
-            n_p5_twice += (k[s] - 1 - a_su) * (k[u2] - 1 - a_su) + 1 - c_su
-            n_c4_scaled += c_su - 1
-        c_st, s_st = inter(s, t)
-        n_paw += s_st - 2 * c_st
-        n_c3l2_tripled += (g.m - k[s] - k[t] + 3) * c_st - s_st
-        phi1 -= k[s] * k[t] * (k[s] + k[t])
-        phi2_twice += (k[s] + k[t]) * (
-            agg.mmt2 - xi[s] - xi[t] - k[s] * (k[s] - 1) - k[t] * (k[t] - 1)
-        )
-        mu1_twice += xi[s] + xi[t]
-        mu2 += c_st
-        lam1 += (k[t] - 1) * (xi[s] - k[t]) + (k[s] - 1) * (xi[t] - k[s]) - 2 * s_st
-        lam2_extra += (k[s] + k[t]) * ((k[s] - 1) * (k[t] - 1) - c_st)
-    mu1 = mu1_twice // 2
-    from .graph import compute_K
-
-    c = CensusReport(
-        q=compute_q(g),
-        K=compute_K(g, agg),
-        phi1=phi1 + (g.m + 1) * agg.psi,
-        phi2=phi2_twice // 2,
-        lambda1=lam1,
-        lambda2=lam1 + lam2_extra,
-        mu1=mu1,
-        mu2=mu2,
-        nP4=g.m - agg.mmt2 + mu1 - mu2,
-        nP5=n_p5_twice // 2,
-        nC3=mu2 // 3,
-        nC4=n_c4_scaled // 4,
-        nPaw=n_paw,
-        nC3L2=n_c3l2_tripled // 3,
-    )
-    return _result(
-        g, _variance_from_census(c, g.m, table), "reuse", table,
-        hash_table_size=len(cache),
-    )
-
-
-def forest_census(g: Graph) -> CensusReport:
-    """Census of an acyclic graph in time linear in the vertex count.
-
-    All triangle-bearing quantities vanish, neighborhood intersections are
-    empty, and the path counts collapse to degree expressions.
-    """
-    if not g.is_forest():
-        raise NotAForestError("graph contains a cycle")
-    agg = degree_aggregates(g)
-    k, xi = g.degrees, agg.xi
-    n_p4 = n_p5_twice = lam1 = lam2_extra = 0
-    phi2_twice = phi1 = mu1_twice = 0
-    for s, t in g.edges():
-        n_p4 += (k[s] - 1) * (k[t] - 1)
-        # paths of 5 vertices centered on this edge, both orientations
-        n_p5_twice += (k[t] - 1) * (xi[s] - k[t] - k[s] + 1)
-        n_p5_twice += (k[s] - 1) * (xi[t] - k[s] - k[t] + 1)
-        lam1 += (k[t] - 1) * (xi[s] - k[t]) + (k[s] - 1) * (xi[t] - k[s])
-        lam2_extra += (k[s] + k[t]) * (k[s] - 1) * (k[t] - 1)
-        phi1 -= k[s] * k[t] * (k[s] + k[t])
-        phi2_twice += (k[s] + k[t]) * (
-            agg.mmt2 - xi[s] - xi[t] - k[s] * (k[s] - 1) - k[t] * (k[t] - 1)
-        )
-        mu1_twice += xi[s] + xi[t]
-    assert n_p5_twice % 2 == 0 and phi2_twice % 2 == 0 and mu1_twice % 2 == 0
-    from .graph import compute_K
-
-    return CensusReport(
-        q=compute_q(g),
-        K=compute_K(g, agg),
-        phi1=phi1 + (g.m + 1) * agg.psi,
-        phi2=phi2_twice // 2,
-        lambda1=lam1,
-        lambda2=lam1 + lam2_extra,
-        mu1=mu1_twice // 2,
-        mu2=0,
-        nP4=n_p4,
-        nP5=n_p5_twice // 2,
-        nC3=0,
-        nC4=0,
-        nPaw=0,
-        nC3L2=0,
-    )
+    c = reduce_census(g, degree_aggregates(g), *_intersection_sums(g, inter))
+    return _census_result(g, c, "reuse", table, hash_table_size=len(cache))
 
 
 def variance_forest(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
     """Linear-time route, valid only for acyclic graphs."""
-    table = table or builtin_rla_table()
-    c = forest_census(g)
-    return _result(g, _variance_from_census(c, g.m, table), "forest", table)
+    return _census_result(g, forest_census(g), "forest", table)
 
 
 def variance_rla_closed(g: Graph) -> VarianceResult:

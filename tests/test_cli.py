@@ -1,9 +1,15 @@
 """The command-line front end: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crossvar
+from crossvar import cli
 from crossvar.cli import main
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0\n"
@@ -115,6 +121,22 @@ class TestSelftest:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["failures"] == []
 
+    def test_passes_with_asserts_stripped(self):
+        # python -O removes assert statements; the invariants must not rely on them
+        src = str(Path(crossvar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "crossvar.cli", "selftest", "--quick", "--max-n", "8"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_seed_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["selftest", "--quick", "--seed", "3"])
+
 
 class TestBench:
     def test_tiny_grid(self, capsys):
@@ -126,3 +148,8 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         row = payload["rows"][0]
         assert row["n"] == 10 and row["time_general_ns"] > 0
+
+    def test_time_call_is_best_of_reps(self, monkeypatch):
+        ticks = iter([0, 50, 100, 110, 200, 230])  # runs of 50, 10 and 30 ns
+        monkeypatch.setattr(cli.time, "perf_counter_ns", lambda: next(ticks))
+        assert cli._time_call(lambda g: None, None, reps=3) == 10

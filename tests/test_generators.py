@@ -7,7 +7,6 @@ import pytest
 from crossvar.errors import ValidationError
 from crossvar.generators import (
     FREE_TREE_COUNTS,
-    FamilySpec,
     _canonical_form,
     _prufer_decode,
     all_trees,
@@ -15,7 +14,6 @@ from crossvar.generators import (
     complete_bipartite,
     cycle,
     erdos_renyi,
-    generate,
     one_regular,
     path,
     quasi_star,
@@ -108,17 +106,3 @@ class TestAllTrees:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             list(all_trees(11))
-
-
-class TestFamilySpec:
-    def test_dispatch(self):
-        g = generate(FamilySpec("cycle", {"n": 5}))
-        assert g.m == 5
-
-    def test_unknown_family(self):
-        with pytest.raises(ValidationError):
-            FamilySpec("petersen")
-
-    def test_bad_parameters(self):
-        with pytest.raises(ValidationError):
-            generate(FamilySpec("path", {"length": 4}))

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossvar.brute import count_triangles_brute
+from crossvar import graph as graph_module
+from crossvar.brute import brute_census, count_triangles_brute
+from crossvar.census import fast_census
 from crossvar.errors import NotAForestError
 from crossvar.frequencies import builtin_rla_table
 from crossvar.generators import (
@@ -17,9 +19,11 @@ from crossvar.generators import (
     one_regular,
     path,
     quasi_star,
+    random_forest,
     random_tree,
     star,
 )
+from crossvar.graph import Graph
 from crossvar.variance import (
     compute_variance,
     forest_census,
@@ -94,6 +98,19 @@ class TestDispatch:
     def test_auto_picks_reuse_on_cyclic(self):
         assert select_algorithm(complete(4)) == "reuse"
 
+    def test_auto_on_tree_runs_one_union_find_pass(self, monkeypatch):
+        passes = []
+        acyclic = graph_module._acyclic
+
+        def counted(g):
+            passes.append(g)
+            return acyclic(g)
+
+        monkeypatch.setattr(graph_module, "_acyclic", counted)
+        g = random_tree(30, seed=4)
+        assert compute_variance(g).algorithm == "forest"
+        assert len(passes) == 1
+
     def test_forest_on_cyclic_fails(self):
         with pytest.raises(NotAForestError):
             compute_variance(complete(4), algorithm="forest")
@@ -116,12 +133,27 @@ class TestForestCensus:
         with pytest.raises(NotAForestError):
             forest_census(cycle(5))
 
-    @pytest.mark.parametrize("n", [3, 6, 10])
-    def test_matches_general_census_on_trees(self, n):
-        from crossvar.census import fast_census
-
-        g = random_tree(n, seed=2 * n)
-        assert forest_census(g) == fast_census(g)
+    @pytest.mark.parametrize("g", [
+        *(random_tree(n, seed=2 * n) for n in (3, 6, 10)),
+        *(random_forest(n, seed=seed) for n, seed in ((9, 1), (12, 5), (40, 3))),
+        Graph(7, [(0, 1), (1, 2), (4, 5)]),
+        Graph(0, []),
+        Graph(1, []),
+        Graph(2, []),
+        Graph(2, [(0, 1)]),
+        Graph(12, [(0, i) for i in range(1, 12)] + [(1, 2)]),
+    ], ids=[
+        "3", "6", "10", "forest-9", "forest-12", "forest-40", "isolated",
+        "n0", "n1", "n2-empty", "n2-edge", "hub-triangle",
+    ])
+    def test_matches_general_census_on_trees(self, g):
+        if g.is_forest():
+            assert forest_census(g) == fast_census(g)
+        else:
+            with pytest.raises(NotAForestError):
+                forest_census(g)
+        if g.n <= 12:
+            assert fast_census(g) == brute_census(g)
 
 
 class TestReuse:
