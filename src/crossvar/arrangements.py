@@ -4,6 +4,24 @@ An arrangement is a permutation of the vertices along a line; two
 independent edges cross when their endpoints interleave.  This module
 gives the exact crossing distribution for small graphs, a Monte Carlo
 sampler for large ones, and z-score / tail-bound helpers.
+
+Crossings are counted by one sweep, not by testing edge pairs.  With
+each edge as the positions ``lo < hi`` of its ends, sorted by ``lo``
+ascending and ``hi`` descending,
+
+    C = #{i < j in that order : hi_i < hi_j} - #{(i, j) : hi_i <= lo_j}.
+
+The first term counts every pair that starts and ends in the same order:
+the crossing pairs plus the disjoint ones (``hi_i < lo_j``) and those
+that meet end to start (``hi_i = lo_j``); edges sharing a left end never
+count, because their ``hi`` descends.  The second term is exactly those
+disjoint and meeting pairs, read off a cumulative histogram of right
+ends.  The first term takes one Fenwick prefix query and one update per
+edge, so a count costs O(m log n) time and O(n + m) memory.
+``count_crossings`` runs the sweep in pure Python; Monte Carlo and
+exhaustive enumeration run it in numpy across many arrangements at once.
+The pair-by-pair count is kept as the oracle
+:func:`crossvar.brute.count_crossings_brute`.
 """
 
 from __future__ import annotations
@@ -11,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import accumulate, islice, permutations
 
 import numpy as np
 
@@ -24,6 +42,8 @@ from .errors import (
 from .graph import Graph
 
 EXHAUSTIVE_LIMIT = 9
+# working set of one row chunk in the batch crossing count
+_SWEEP_BYTES = 1 << 23
 
 
 def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -53,42 +73,93 @@ def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
 def count_crossings(g: Graph, order) -> int:
     """Number of crossing edge pairs in the given arrangement.
 
-    Two vertex-disjoint edges cross exactly when one endpoint of the
-    second lies strictly between the endpoints of the first and the other
-    does not.
+    One sweep over the edges in ``(lo, -hi)`` order with a Fenwick tree
+    over right ends (see the module docstring): O(m log n) time, O(n)
+    extra memory.
     """
     order = validate_arrangement(g, order)
-    pos = [0] * g.n
+    n = g.n
+    pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    spans = []
-    for u, v in g.edges():
-        a, b = pos[u], pos[v]
-        spans.append((a, b) if a < b else (b, a))
+    spans = sorted(
+        (min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in g.edges()
+    )
+    tree = [0] * n  # Fenwick tree over right ends 1..n-1; slot 0 unused
+    ends = [0] * n  # ends[x]: edges whose right end is x
     crossings = 0
-    for i in range(len(spans)):
-        a1, b1 = spans[i]
-        for j in range(i + 1, len(spans)):
-            a2, b2 = spans[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                crossings += 1
-    return crossings
+    for _, neg_hi in spans:
+        hi = -neg_hi
+        i = hi - 1  # earlier edges whose right end is below hi
+        while i:
+            crossings += tree[i]
+            i &= i - 1
+        i = hi
+        while i < n:
+            tree[i] += 1
+            i += i & -i
+        ends[hi] += 1
+    ended = list(accumulate(ends))  # ended[x]: edges whose right end is <= x
+    return crossings - sum(ended[lo] for lo, _ in spans)
 
 
-def _positions_to_crossings(g: Graph, pos_matrix: np.ndarray) -> np.ndarray:
-    """Crossing counts for a batch of arrangements given as position rows."""
+def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
+    """Crossing counts for a batch of arrangements given as position rows.
+
+    ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.  The
+    rows are swept in chunks whose working set stays near
+    ``_SWEEP_BYTES``, so memory is O(rows·(n + m)) for small batches and
+    bounded for large ones.
+    """
+    rows, n = pos.shape
+    out = np.zeros(rows, dtype=np.int64)
+    if g.m < 2:
+        return out
     edges = np.array(list(g.edges()), dtype=np.int64)
-    a = pos_matrix[:, edges[:, 0]]
-    b = pos_matrix[:, edges[:, 1]]
+    size = 1 << (n - 1).bit_length()  # Fenwick slots 1..size hold right ends
+    # about seven int64 values per edge and two per vertex, plus the tree
+    row_bytes = 8 * (7 * g.m + 2 * n) + 4 * (size + 2)
+    step = max(1, _SWEEP_BYTES // row_bytes)
+    for start in range(0, rows, step):
+        out[start:start + step] = _sweep(edges, pos[start:start + step], size)
+    return out
+
+
+def _sweep(edges: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
+    """The module docstring's sweep, vectorised across the rows of ``pos``.
+
+    Each row owns ``size + 2`` columns of one flat int32 Fenwick tree:
+    column 0 is read by finished prefix queries and never written, and
+    column ``size + 1`` is a sink that absorbs updates walking past the
+    root, so every query and update runs a fixed number of steps.
+    """
+    rows, n = pos.shape
+    levels = size.bit_length() - 1
+    width = size + 2
+    a = pos[:, edges[:, 0]]
+    b = pos[:, edges[:, 1]]
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    iu, ju = np.triu_indices(len(edges), k=1)
-    lo1, hi1 = lo[:, iu], hi[:, iu]
-    lo2, hi2 = lo[:, ju], hi[:, ju]
-    crossed = ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | (
-        (lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1)
-    )
-    return crossed.sum(axis=1)
+    # pairs with hi_i <= lo_j, from a cumulative histogram of right ends
+    shifted = hi + np.arange(rows, dtype=np.int64)[:, None] * n
+    ended = np.bincount(shifted.ravel(), minlength=rows * n).reshape(rows, n).cumsum(axis=1)
+    total = -np.take_along_axis(ended, lo, axis=1).sum(axis=1)
+    # each row's edges by lo ascending, hi descending; 0 < hi < n, so the
+    # sorted keys lo·n − hi give hi back as their residue mod n
+    hi = -np.sort(lo * n - hi, axis=1) % n
+    tree = np.zeros(rows * width, dtype=np.int32)
+    base = np.arange(rows, dtype=np.int64) * width
+    for h in hi.T:
+        i = h - 1  # earlier edges whose right end is below h
+        for _ in range(levels):
+            total += tree[base + i]
+            i &= i - 1
+        i = h.copy()
+        for _ in range(levels + 1):
+            tree[base + i] += 1
+            i += i & -i
+            np.minimum(i, size + 1, out=i)
+    return total
 
 
 @dataclass(frozen=True)
@@ -148,11 +219,15 @@ class MonteCarloResult:
 def monte_carlo(g: Graph, samples: int, seed: int = 0, batch: int = 4096) -> MonteCarloResult:
     """Sample crossing counts from uniformly random arrangements.
 
-    Deterministic for a fixed seed.  Arrangements are drawn in batches and
-    evaluated with vectorized interleaving tests.
+    Deterministic for a fixed seed.  Arrangements are drawn ``batch`` rows
+    at a time and counted by the module's sweep, vectorised across the
+    rows: O(m log n) steps per row and O(batch·(n + m)) memory, with the
+    count's working set capped at ``_SWEEP_BYTES``.
     """
     if samples < 2:
         raise ValidationError("need at least 2 samples for a variance estimate")
+    if batch < 1:
+        raise ValidationError(f"batch must be at least 1, got {batch}")
     rng = np.random.default_rng(seed)
     values = np.empty(samples, dtype=np.int64)
     base = np.arange(g.n, dtype=np.int64)

@@ -1,7 +1,9 @@
-"""Brute-force oracles: Q enumeration, pattern counting, exhaustive census.
+"""Brute-force oracles: Q enumeration, pattern counting, exhaustive census,
+pair-by-pair crossing counts.
 
 Everything here is deliberately independent of the fast edge-traversal
-forms in :mod:`crossvar.census`: counts come from explicit enumeration of
+forms in :mod:`crossvar.census` and of the crossing sweep in
+:mod:`crossvar.arrangements`: counts come from explicit enumeration of
 edge pairs, walks and vertex subsets, plus naive adjacency-matrix powers
 as an extra cross-check.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .arrangements import validate_arrangement
 from .census import CensusReport
 from .errors import InternalInconsistencyError, OracleBudgetError
 from .graph import Graph
@@ -27,6 +30,31 @@ def independent_edge_pairs(g: Graph) -> list[tuple[tuple[int, int], tuple[int, i
         if s != u and s != v and t != u and t != v:
             pairs.append((e1, e2))
     return pairs
+
+
+def count_crossings_brute(g: Graph, order) -> int:
+    """Number of crossing edge pairs in the given arrangement, pair by pair.
+
+    Two vertex-disjoint edges cross exactly when one endpoint of the
+    second lies strictly between the endpoints of the first and the other
+    does not.
+    """
+    order = validate_arrangement(g, order)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    spans = []
+    for u, v in g.edges():
+        a, b = pos[u], pos[v]
+        spans.append((a, b) if a < b else (b, a))
+    crossings = 0
+    for i in range(len(spans)):
+        a1, b1 = spans[i]
+        for j in range(i + 1, len(spans)):
+            a2, b2 = spans[j]
+            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+                crossings += 1
+    return crossings
 
 
 def count_simple_paths(g: Graph, length: int) -> int:

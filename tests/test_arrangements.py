@@ -1,11 +1,18 @@
 """Crossing counts of concrete arrangements, enumeration, sampling, bounds."""
 
+import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossvar import arrangements
 from crossvar.arrangements import (
+    MonteCarloResult,
     chebyshev_pvalue_bound,
     count_crossings,
     exhaustive_distribution,
@@ -13,14 +20,28 @@ from crossvar.arrangements import (
     parse_arrangement,
     zscore,
 )
+from crossvar.brute import count_crossings_brute
 from crossvar.errors import (
     DegenerateStatisticsError,
     OracleBudgetError,
     ValidationError,
 )
-from crossvar.generators import cycle, erdos_renyi, one_regular, path, star
+from crossvar.generators import complete, cycle, erdos_renyi, one_regular, path, star
 from crossvar.graph import Graph
 from crossvar.variance import variance_general
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs plus stars, complete graphs and cycles, so that shared
+    endpoints, nested arcs and edges with a common left end all occur."""
+    kind = draw(st.sampled_from(["er", "star", "complete", "cycle"]))
+    if kind == "er":
+        n = draw(st.integers(0, 12))
+        return erdos_renyi(n, draw(st.floats(0, 1)), seed=draw(st.integers(0, 10**6)))
+    if kind == "cycle":
+        return cycle(draw(st.integers(3, 12)))
+    return (star if kind == "star" else complete)(draw(st.integers(1, 12)))
 
 
 class TestCountCrossings:
@@ -59,6 +80,25 @@ class TestCountCrossings:
         order = list(range(8))
         rnd.shuffle(order)
         assert count_crossings(g, order) == count_crossings(g, order[::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_pair_by_pair_oracle(self, data):
+        g = data.draw(graphs())
+        order = data.draw(st.permutations(range(g.n)))
+        assert count_crossings(g, order) == count_crossings_brute(g, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batch_sweep_matches_oracle_row_by_row(self, data):
+        g = data.draw(graphs())
+        orders = data.draw(st.lists(st.permutations(range(g.n)), min_size=1, max_size=12))
+        pos = np.argsort(np.array(orders, dtype=np.int64).reshape(len(orders), g.n), axis=1)
+        # small working-set caps split the rows into chunks of one or a few
+        cap = data.draw(st.sampled_from([1, 2000, arrangements._SWEEP_BYTES]))
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap):
+            got = arrangements._positions_to_crossings(g, pos)
+        assert got.tolist() == [count_crossings_brute(g, o) for o in orders]
 
 
 class TestParseArrangement:
@@ -109,6 +149,47 @@ class TestMonteCarlo:
         a = monte_carlo(g, 2000, seed=42)
         b = monte_carlo(g, 2000, seed=42)
         assert a == b
+        # no pair of edges, so every sample is 0
+        for g in [path(2), Graph(5, []), Graph(0, [])]:
+            assert monte_carlo(g, 2000, seed=42) == MonteCarloResult(2000, 0.0, 0.0, 0, 0)
+
+    def test_draws_match_a_rebuild_counted_by_the_oracle(self):
+        # a seed fixes the drawn arrangements, so how they are counted
+        # must not change the result
+        g = erdos_renyi(10, 0.4, seed=3)
+        samples, seed, batch = 5000, 11, 4096  # two batches at the default size
+        rng = np.random.default_rng(seed)
+        values = []
+        for done in range(0, samples, batch):
+            tile = np.tile(np.arange(g.n, dtype=np.int64), (min(batch, samples - done), 1))
+            for row in rng.permuted(tile, axis=1):
+                values.append(count_crossings_brute(g, np.argsort(row).tolist()))
+        values = np.array(values, dtype=np.int64)
+        assert monte_carlo(g, samples, seed=seed) == MonteCarloResult(
+            samples=samples,
+            mean=float(values.mean()),
+            variance=float(values.var(ddof=1)),
+            minimum=int(values.min()),
+            maximum=int(values.max()),
+        )
+
+    def test_memory_grows_with_n_not_m_squared(self):
+        # 128 edges give 8128 edge pairs: a pairwise batch of 4096 rows
+        # would hold several 266 MB arrays at once
+        rnd = random.Random(0)
+        g = Graph(64, rnd.sample(list(combinations(range(64), 2)), 128))
+        tracemalloc.start()
+        try:
+            monte_carlo(g, 4096, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_rejects_batch_below_one(self, batch):
+        with pytest.raises(ValidationError):
+            monte_carlo(path(4), 10, seed=0, batch=batch)
 
     def test_seed_changes_stream(self):
         g = cycle(5)
