@@ -7,7 +7,7 @@ from .arrangements import (
     monte_carlo,
     zscore,
 )
-from .census import CensusReport, fast_census, neighbor_intersection
+from .census import CensusReport, fast_census
 from .errors import (
     CrossvarError,
     DegenerateStatisticsError,
@@ -67,7 +67,6 @@ __all__ = [
     "load_graph",
     "load_layout_table",
     "monte_carlo",
-    "neighbor_intersection",
     "parse_edge_list",
     "variance_forest",
     "variance_general",

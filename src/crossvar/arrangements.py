@@ -103,13 +103,22 @@ def count_crossings(g: Graph, order) -> int:
     return crossings - sum(ended[lo] for lo, _ in spans)
 
 
+def _chunk_rows(g: Graph) -> int:
+    """Rows per chunk of the batch crossing count, so that one chunk's
+    working set stays near ``_SWEEP_BYTES``."""
+    # about seven int64 values per edge and two per vertex, plus one row of
+    # the int32 Fenwick tree of _sweep
+    tree = (1 << (g.n - 1).bit_length()) + 2
+    row_bytes = 8 * (7 * g.m + 2 * g.n) + 4 * tree
+    return max(1, _SWEEP_BYTES // row_bytes)
+
+
 def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing counts for a batch of arrangements given as position rows.
 
     ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.  The
-    rows are swept in chunks whose working set stays near
-    ``_SWEEP_BYTES``, so memory is O(rows·(n + m)) for small batches and
-    bounded for large ones.
+    rows are swept in chunks of ``_chunk_rows(g)``, so memory is
+    O(rows·(n + m)) for small batches and bounded for large ones.
     """
     rows, n = pos.shape
     out = np.zeros(rows, dtype=np.int64)
@@ -117,9 +126,7 @@ def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
         return out
     edges = np.array(list(g.edges()), dtype=np.int64)
     size = 1 << (n - 1).bit_length()  # Fenwick slots 1..size hold right ends
-    # about seven int64 values per edge and two per vertex, plus the tree
-    row_bytes = 8 * (7 * g.m + 2 * n) + 4 * (size + 2)
-    step = max(1, _SWEEP_BYTES // row_bytes)
+    step = _chunk_rows(g)
     for start in range(0, rows, step):
         out[start:start + step] = _sweep(edges, pos[start:start + step], size)
     return out
@@ -188,9 +195,9 @@ def exhaustive_distribution(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> ExactDis
     else:
         counts = {}
         perm_iter = permutations(range(g.n))
-        batch = 40320
+        step = _chunk_rows(g)
         while True:
-            block = list(islice(perm_iter, batch))
+            block = list(islice(perm_iter, step))
             if not block:
                 break
             values = _positions_to_crossings(g, np.array(block, dtype=np.int64))
@@ -216,24 +223,24 @@ class MonteCarloResult:
     maximum: int
 
 
-def monte_carlo(g: Graph, samples: int, seed: int = 0, batch: int = 4096) -> MonteCarloResult:
+def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     """Sample crossing counts from uniformly random arrangements.
 
-    Deterministic for a fixed seed.  Arrangements are drawn ``batch`` rows
-    at a time and counted by the module's sweep, vectorised across the
-    rows: O(m log n) steps per row and O(batch·(n + m)) memory, with the
-    count's working set capped at ``_SWEEP_BYTES``.
+    Deterministic for a fixed seed.  Arrangements are drawn one chunk of
+    ``_chunk_rows(g)`` rows at a time and counted by the module's sweep,
+    vectorised across the rows: O(m log n) steps per row, and memory near
+    ``_SWEEP_BYTES`` plus the samples.  Each row is shuffled in turn from
+    one generator, so the chunk size does not change the draws.
     """
     if samples < 2:
         raise ValidationError("need at least 2 samples for a variance estimate")
-    if batch < 1:
-        raise ValidationError(f"batch must be at least 1, got {batch}")
     rng = np.random.default_rng(seed)
     values = np.empty(samples, dtype=np.int64)
     base = np.arange(g.n, dtype=np.int64)
+    step = _chunk_rows(g)
     done = 0
     while done < samples:
-        b = min(batch, samples - done)
+        b = min(step, samples - done)
         pos = np.tile(base, (b, 1))
         pos = rng.permuted(pos, axis=1)
         values[done:done + b] = _positions_to_crossings(g, pos)

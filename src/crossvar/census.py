@@ -11,7 +11,9 @@ sum of the common neighbours of two vertices:
 * ``c4_scaled = sum over wedges a-x-b of (c_ab - 1)`` (four times the
   4-cycle count).
 
-:func:`reduce_census` turns these into the census.  The routes differ only
+:func:`reduce_census` takes the degree sums from
+:func:`crossvar.graph.degree_aggregates` and turns them and the four
+intersection sums into the census.  The routes differ only
 in where the intersections come from: :func:`fast_census` merges sorted
 adjacency lists on every request, the reuse route of
 :mod:`crossvar.variance` puts the same merge behind a cache keyed by vertex
@@ -27,19 +29,11 @@ from functools import partial
 from itertools import combinations
 from typing import Callable
 
-from .errors import InternalInconsistencyError, NotAForestError, ValidationError
-from .graph import DegreeAggregates, Graph, compute_K, compute_q, degree_aggregates
+from .errors import InternalInconsistencyError, NotAForestError
+from .graph import Graph, degree_aggregates
 
 #: ``inter(a, b) -> (c_ab, S_ab)`` for two distinct vertices ``a < b``
 Intersect = Callable[[int, int], tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class NeighborIntersection:
-    """Size of a common neighborhood and the degree sum over it."""
-
-    size: int
-    degree_sum: int
 
 
 @dataclass(frozen=True)
@@ -93,14 +87,6 @@ def merge_intersection(g: Graph, u: int, v: int) -> tuple[int, int]:
     return size, deg
 
 
-def neighbor_intersection(g: Graph, u: int, v: int) -> NeighborIntersection:
-    """``|c(u,v)|`` and ``S_{u,v}`` in O(k_u + k_v) by sorted-list merge."""
-    if u == v:
-        raise ValidationError("neighbor_intersection requires two distinct vertices")
-    size, deg = merge_intersection(g, u, v)
-    return NeighborIntersection(size=size, degree_sum=deg)
-
-
 def _intersection_sums(g: Graph, inter: Intersect) -> tuple[int, int, int, int]:
     """``(mu2, s_sum, kc_sum, c4_scaled)``: one request per edge and per wedge.
 
@@ -130,35 +116,31 @@ def _exact_quotient(scaled: int, divisor: int, name: str) -> int:
     return scaled // divisor
 
 
-def reduce_census(
-    g: Graph, agg: DegreeAggregates, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int
-) -> CensusReport:
+def reduce_census(g: Graph, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int) -> CensusReport:
     """Every census field from degree sums and the four intersection sums.
 
-    The degree-only parts are sums over vertices of ``k``, ``xi`` and their
-    products; the path-5 count uses ``sum_triangles (k_x + k_y + k_z) =
-    s_sum`` in ``nP5 = sum_x [(xi_x - k_x)^2 - k_x (k_x - 1)^2] / 2 - 4 nC4
-    - 2 s_sum + 3 mu2``.
+    The degree sums come from :func:`crossvar.graph.degree_aggregates`, so
+    the reduction itself sums nothing over vertices or edges.  The path-5
+    count uses ``sum_triangles (k_x + k_y + k_z) = s_sum`` in ``nP5 =
+    sum_x [(xi_x - k_x)^2 - k_x (k_x - 1)^2] / 2 - 4 nC4 - 2 s_sum + 3 mu2``.
     """
-    k, xi, m = g.degrees, agg.xi, g.m
-    mmt2, mmt3, psi = agg.mmt2, agg.mmt3, agg.psi
-    sum_k4 = sum(d * d * d * d for d in k)
-    sum_xi2 = sum(x * x for x in xi)
-    sum_k2xi = sum(d * d * x for d, x in zip(k, xi))
+    agg, m = degree_aggregates(g), g.m
+    mmt2, mmt3, mmt4, psi = agg.mmt2, agg.mmt3, agg.mmt4, agg.psi
+    xi2, k2xi = agg.xi2, agg.k2xi
     # per-edge sums of (k_t - 1)(xi_s - k_t) + (k_s - 1)(xi_t - k_s) and of
     # (k_s + k_t)(k_s - 1)(k_t - 1), gathered by vertex
-    lambda1 = sum_xi2 - mmt3 - 2 * psi + mmt2 - 2 * s_sum
-    lambda2 = lambda1 + sum_k2xi - mmt3 - 2 * psi + mmt2 - kc_sum
-    phi2_twice = mmt2 * mmt2 - 2 * sum_k2xi - sum_xi2 - sum_k4 + mmt3 + 2 * psi
+    lambda1 = xi2 - mmt3 - 2 * psi + mmt2 - 2 * s_sum
+    lambda2 = lambda1 + k2xi - mmt3 - 2 * psi + mmt2 - kc_sum
+    phi2_twice = mmt2 * mmt2 - 2 * k2xi - xi2 - mmt4 + mmt3 + 2 * psi
     n_c4 = _exact_quotient(c4_scaled, 4, "nC4")
     p5_twice = (
-        sum_xi2 - 4 * psi + 3 * mmt2 - mmt3 - 2 * m
+        xi2 - 4 * psi + 3 * mmt2 - mmt3 - 2 * m
         - 8 * n_c4 - 4 * s_sum + 6 * mu2
     )
     return CensusReport(
-        q=compute_q(g),
-        K=compute_K(g, agg),
-        phi1=(m + 1) * psi - sum_k2xi,
+        q=agg.q,
+        K=(m + 1) * mmt2 - mmt3 - 2 * psi,
+        phi1=(m + 1) * psi - k2xi,
         phi2=_exact_quotient(phi2_twice, 2, "phi2"),
         lambda1=lambda1,
         lambda2=lambda2,
@@ -176,7 +158,7 @@ def reduce_census(
 def fast_census(g: Graph) -> CensusReport:
     """The paper's general route: a sorted-list merge for every request."""
     sums = _intersection_sums(g, partial(merge_intersection, g))
-    return reduce_census(g, degree_aggregates(g), *sums)
+    return reduce_census(g, *sums)
 
 
 def forest_census(g: Graph) -> CensusReport:
@@ -187,7 +169,7 @@ def forest_census(g: Graph) -> CensusReport:
     """
     if not g.is_forest():
         raise NotAForestError("graph contains a cycle")
-    return reduce_census(g, degree_aggregates(g), 0, 0, 0, 0)
+    return reduce_census(g, 0, 0, 0, 0)
 
 
 def count_paths4(g: Graph) -> int:

@@ -41,12 +41,6 @@ TAU_PHI = {
     "24": (2, 4),
 }
 
-#: pattern multiplicity linking each type count to one subgraph count
-SUBGRAPH_MULTIPLIER = {
-    "00": 6, "24": 1, "13": 2, "12": 6, "04": 2,
-    "03": 2, "021": 2, "022": 4, "01": 4,
-}
-
 EdgePair = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -103,15 +97,6 @@ class FrequencyVector:
         if code == "01" and self.f01 is not None:
             return self.f01
         raise KeyError(code)
-
-    def to_json_dict(self) -> dict:
-        d = {f"f_{code}": self.counts[code] for code in CONTRIBUTING_TYPES}
-        d["f_null"] = self.null_total
-        if self.f00 is not None:
-            d["f_00"] = self.f00
-        if self.f01 is not None:
-            d["f_01"] = self.f01
-        return d
 
 
 DEFAULT_PAIR_BUDGET = 10**8

@@ -1,7 +1,9 @@
 """Immutable simple undirected graphs with sorted adjacency lists.
 
-All aggregate quantities are kept as exact integers.  Instead of the mean
-of squared degrees we carry its integer numerator ``sum(k**2)`` so that no
+:class:`Graph` is the one place where duplicate edges are collapsed, and
+:func:`degree_aggregates` the one place where degree sums are taken.  All
+aggregate quantities are kept as exact integers.  Instead of the mean of
+squared degrees we carry its integer numerator ``sum(k**2)`` so that no
 rounding can ever occur; every downstream formula is stated in that integer
 form.
 """
@@ -19,9 +21,10 @@ from .errors import EdgeListParseError, InternalInconsistencyError, ValidationEr
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Adjacency lists are strictly increasing tuples; the structure is
-    immutable after construction and safe to share across threads.  The
-    acyclicity test runs once and its answer is kept.
+    Adjacency lists are strictly increasing tuples; an edge given more than
+    once, in either orientation, is kept once.  The structure is immutable
+    after construction and safe to share across threads.  The acyclicity
+    test runs once and its answer is kept.
     """
 
     __slots__ = ("n", "m", "adjacency", "degrees", "_forest")
@@ -109,42 +112,51 @@ def _acyclic(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class DegreeAggregates:
-    """Degree-based sums every fast algorithm needs.
+    """Degree sums every census route needs, each summed over the vertices.
 
-    ``mmt2``/``mmt3`` are the integer sums of squared/cubed degrees,
-    ``xi[s]`` is the sum of the degrees of the neighbors of ``s`` and
-    ``psi`` is the sum over edges of the product of endpoint degrees.
+    ``xi_s`` is the degree sum over the neighbours of ``s``.  ``mmt2``,
+    ``mmt3`` and ``mmt4`` are the sums of ``k**2``, ``k**3`` and ``k**4``;
+    ``xi2`` is the sum of ``xi**2`` and ``k2xi`` that of ``k**2 * xi``.
+    ``psi = sum_s k_s xi_s / 2`` is the sum over edges of the product of
+    endpoint degrees, and ``q = (m(m+1) - mmt2) / 2`` is the number of
+    pairs of vertex-disjoint edges.
     """
 
     mmt2: int
     mmt3: int
-    xi: tuple[int, ...]
+    mmt4: int
+    xi2: int
+    k2xi: int
     psi: int
+    q: int
 
 
 def degree_aggregates(g: Graph) -> DegreeAggregates:
+    """All of :class:`DegreeAggregates` in one pass over the vertices."""
     k = g.degrees
-    mmt2 = sum(d * d for d in k)
-    mmt3 = sum(d * d * d for d in k)
-    xi = tuple(sum(k[t] for t in g.adjacency[s]) for s in range(g.n))
-    psi = sum(k[u] * k[v] for u, v in g.edges())
-    if 2 * psi != sum(k[s] * xi[s] for s in range(g.n)):
-        raise InternalInconsistencyError("2*psi differs from sum_s k_s * xi(s)")
-    return DegreeAggregates(mmt2=mmt2, mmt3=mmt3, xi=xi, psi=psi)
+    mmt2 = mmt3 = mmt4 = xi2 = k2xi = kxi = 0
+    for d, neighbors in zip(k, g.adjacency):
+        x = sum(map(k.__getitem__, neighbors))
+        d2 = d * d
+        mmt2 += d2
+        mmt3 += d2 * d
+        mmt4 += d2 * d2
+        xi2 += x * x
+        k2xi += d2 * x
+        kxi += d * x
+    if kxi % 2:
+        raise InternalInconsistencyError(f"sum_s k_s * xi(s) = {kxi} is odd")
+    q2 = g.m * (g.m + 1) - mmt2
+    if q2 % 2 or q2 < 0:
+        raise InternalInconsistencyError(f"m(m+1) - sum(k^2) = {q2} is odd or negative")
+    return DegreeAggregates(
+        mmt2=mmt2, mmt3=mmt3, mmt4=mmt4, xi2=xi2, k2xi=k2xi, psi=kxi // 2, q=q2 // 2
+    )
 
 
 def compute_q(g: Graph) -> int:
     """Number of pairs of vertex-disjoint ("independent") edges."""
-    mmt2 = sum(d * d for d in g.degrees)
-    q2 = g.m * (g.m + 1) - mmt2
-    if q2 % 2 or q2 < 0:
-        raise InternalInconsistencyError(f"m(m+1) - sum(k^2) = {q2} is odd or negative")
-    return q2 // 2
-
-
-def compute_K(g: Graph, agg: DegreeAggregates) -> int:
-    """Sum of the four endpoint degrees over all independent edge pairs."""
-    return (g.m + 1) * agg.mmt2 - agg.mmt3 - 2 * agg.psi
+    return degree_aggregates(g).q
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -152,13 +164,12 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines starting with ``#`` are comments; an optional first directive
     ``n=<int>`` forces the vertex count (for trailing isolated vertices);
-    every other non-blank line is ``u v``.  Duplicate edges are collapsed
-    with a warning, self-loops are rejected.
+    every other non-blank line is ``u v``.  Self-loops are rejected;
+    duplicate edges, in either orientation, are collapsed by :class:`Graph`
+    with a warning.
     """
     edges: list[tuple[int, int]] = []
     forced_n: int | None = None
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -186,20 +197,16 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"negative vertex id in {line!r}", lineno)
         if u == v:
             raise ValidationError(f"self-loop '{u} {u}' at line {lineno}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        edges.append(key)
-    if duplicates:
-        warnings.warn(f"collapsed {duplicates} duplicate edge(s)", stacklevel=2)
-    n = 1 + max((v for e in edges for v in e), default=-1)
+        edges.append((u, v))
+    n = 1 + max(map(max, edges), default=-1)
     if forced_n is not None:
         if forced_n < n:
             raise ValidationError(f"n={forced_n} smaller than largest vertex id {n - 1}")
         n = forced_n
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if len(edges) != g.m:
+        warnings.warn(f"collapsed {len(edges) - g.m} duplicate edge(s)", stacklevel=2)
+    return g
 
 
 def load_graph(path: str) -> Graph:

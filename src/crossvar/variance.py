@@ -35,7 +35,7 @@ from .frequencies import (
     frequencies_brute,
     frequencies_from_census,
 )
-from .graph import Graph, compute_q, degree_aggregates
+from .graph import Graph, compute_q
 
 
 def format_rational(x: Fraction) -> str:
@@ -90,10 +90,9 @@ def variance_from_frequencies(
 
 
 def _result(
-    g: Graph, variance: Fraction, algorithm: str, table: ExpectationTable,
+    q: int, variance: Fraction, algorithm: str, table: ExpectationTable,
     hash_table_size: int | None = None,
 ) -> VarianceResult:
-    q = compute_q(g)
     return VarianceResult(
         layout=table.name,
         algorithm=algorithm,
@@ -108,7 +107,7 @@ def variance_naive(g: Graph, table: ExpectationTable | None = None) -> VarianceR
     """Reference route: classify every ordered pair of Q elements."""
     table = table or builtin_rla_table()
     freq = frequencies_brute(g, pair_budget=None)
-    return _result(g, variance_from_frequencies(freq, table), "naive", table)
+    return _result(compute_q(g), variance_from_frequencies(freq, table), "naive", table)
 
 
 def _census_result(
@@ -117,7 +116,7 @@ def _census_result(
 ) -> VarianceResult:
     table = table or builtin_rla_table()
     variance = variance_from_frequencies(frequencies_from_census(c, g.m), table)
-    return _result(g, variance, algorithm, table, hash_table_size)
+    return _result(c.q, variance, algorithm, table, hash_table_size)
 
 
 def variance_general(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
@@ -143,7 +142,7 @@ def variance_general_reuse(
             hit = cache[a, b] = merge_intersection(g, a, b)
         return hit
 
-    c = reduce_census(g, degree_aggregates(g), *_intersection_sums(g, inter))
+    c = reduce_census(g, *_intersection_sums(g, inter))
     return _census_result(g, c, "reuse", table, hash_table_size=len(cache))
 
 
@@ -169,7 +168,7 @@ def variance_rla_closed(g: Graph) -> VarianceResult:
         - 2 * c.phi1
         + c.phi2
     )
-    return _result(g, Fraction(scaled, 180), "rla-closed", builtin_rla_table())
+    return _result(c.q, Fraction(scaled, 180), "rla-closed", builtin_rla_table())
 
 
 ALGORITHMS = ("naive", "general", "reuse", "forest", "rla-closed", "auto")

@@ -157,7 +157,8 @@ class TestMonteCarlo:
         # a seed fixes the drawn arrangements, so how they are counted
         # must not change the result
         g = erdos_renyi(10, 0.4, seed=3)
-        samples, seed, batch = 5000, 11, 4096  # two batches at the default size
+        # rebuilt in tiles of 4096 rows, whatever monte_carlo's chunk size
+        samples, seed, batch = 5000, 11, 4096
         rng = np.random.default_rng(seed)
         values = []
         for done in range(0, samples, batch):
@@ -173,6 +174,14 @@ class TestMonteCarlo:
             maximum=int(values.max()),
         )
 
+    @pytest.mark.parametrize("cap", [1, 5000])
+    def test_chunk_size_does_not_change_the_result(self, cap):
+        # caps of one row and of a few rows per chunk against the default
+        g = erdos_renyi(10, 0.4, seed=3)
+        expected = monte_carlo(g, 300, seed=5)
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap):
+            assert monte_carlo(g, 300, seed=5) == expected
+
     def test_memory_grows_with_n_not_m_squared(self):
         # 128 edges give 8128 edge pairs: a pairwise batch of 4096 rows
         # would hold several 266 MB arrays at once
@@ -185,11 +194,6 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-    @pytest.mark.parametrize("batch", [0, -3])
-    def test_rejects_batch_below_one(self, batch):
-        with pytest.raises(ValidationError):
-            monte_carlo(path(4), 10, seed=0, batch=batch)
 
     def test_seed_changes_stream(self):
         g = cycle(5)

@@ -11,9 +11,8 @@ from crossvar.census import (
     count_paths5,
     count_paw,
     fast_census,
-    neighbor_intersection,
+    merge_intersection,
 )
-from crossvar.errors import ValidationError
 from crossvar.generators import complete, cycle, erdos_renyi, path, star
 
 
@@ -27,13 +26,9 @@ class TestNeighborIntersection:
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 common = set(g.adjacency[u]) & set(g.adjacency[v])
-                ni = neighbor_intersection(g, u, v)
-                assert ni.size == len(common)
-                assert ni.degree_sum == sum(g.degrees[w] for w in common)
-
-    def test_rejects_equal_vertices(self):
-        with pytest.raises(ValidationError):
-            neighbor_intersection(path(3), 1, 1)
+                assert merge_intersection(g, u, v) == (
+                    len(common), sum(g.degrees[w] for w in common)
+                )
 
 
 class TestCountsAgainstBrute:

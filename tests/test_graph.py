@@ -1,5 +1,7 @@
 """Graph construction, parsing, and the degree-sum aggregates."""
 
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from crossvar.census import fast_census
 from crossvar.errors import EdgeListParseError, ValidationError
 from crossvar.graph import (
     Graph,
-    compute_K,
     compute_q,
     degree_aggregates,
     parse_edge_list,
@@ -96,8 +97,39 @@ class TestParse:
         g = parse_edge_list("n=3\n")
         assert (g.n, g.m) == (3, 0)
 
+    @given(random_graph_strategy(), st.randoms(use_true_random=False))
+    def test_shuffled_reversed_repeated_lines(self, data, rnd):
+        n, edges = data
+        g = Graph(n, edges)
+        lines = list(g.edges())
+        if lines:
+            lines += rnd.choices(lines, k=rnd.randint(0, 5))
+        lines = [(u, v) if rnd.random() < 0.5 else (v, u) for u, v in lines]
+        rnd.shuffle(lines)
+        text = f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parse_edge_list(text) == g
+        expected = [f"collapsed {len(lines) - g.m} duplicate edge(s)"] if len(lines) > g.m else []
+        assert [str(w.message) for w in caught] == expected
+
 
 class TestAggregates:
+    @given(random_graph_strategy())
+    def test_fields_match_definitions(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        k = g.degrees
+        xi = [sum(k[t] for t in g.adjacency[s]) for s in range(n)]
+        agg = degree_aggregates(g)
+        assert agg.mmt2 == sum(d ** 2 for d in k)
+        assert agg.mmt3 == sum(d ** 3 for d in k)
+        assert agg.mmt4 == sum(d ** 4 for d in k)
+        assert agg.xi2 == sum(x * x for x in xi)
+        assert agg.k2xi == sum(d * d * x for d, x in zip(k, xi))
+        assert agg.psi == sum(k[u] * k[v] for u, v in g.edges())
+        assert agg.q == len(independent_edge_pairs(g))
+
     @given(random_graph_strategy())
     def test_q_counts_independent_pairs(self, data):
         n, edges = data
@@ -108,13 +140,12 @@ class TestAggregates:
     def test_K_phi_match_definitions(self, data):
         n, edges = data
         g = Graph(n, edges)
-        agg = degree_aggregates(g)
         k = g.degrees
         pairs = independent_edge_pairs(g)
-        assert compute_K(g, agg) == sum(
+        census = fast_census(g)
+        assert census.K == sum(
             k[s] + k[t] + k[u] + k[v] for (s, t), (u, v) in pairs
         )
-        census = fast_census(g)
         assert census.phi1 == sum(
             k[s] * k[t] + k[u] * k[v] for (s, t), (u, v) in pairs
         )

@@ -91,6 +91,29 @@ def test_closed_form_times_180_is_integer(seed):
     assert v >= 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_variance_ignores_labels_and_isolated_vertices(data):
+    n = data.draw(st.integers(0, 12), label="n")
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    if data.draw(st.booleans(), label="forest"):
+        g = random_forest(n, seed=seed)
+    else:
+        g = erdos_renyi(n, data.draw(st.floats(0, 1), label="p"), seed=seed)
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    relabelled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    padded = Graph(n + data.draw(st.integers(1, 3), label="isolated"), g.edges())
+    routes = [variance_general, variance_general_reuse]
+    if g.is_forest():
+        routes.append(variance_forest)
+    for route in routes:
+        r = route(g)
+        assert r.variance >= 0
+        for other in (relabelled, padded):
+            s = route(other)
+            assert (s.q, s.expectation, s.variance) == (r.q, r.expectation, r.variance)
+
+
 class TestDispatch:
     def test_auto_picks_forest_on_trees(self):
         assert select_algorithm(random_tree(6, seed=1)) == "forest"
