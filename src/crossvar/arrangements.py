@@ -5,9 +5,9 @@ independent edges cross when their endpoints interleave.  This module
 gives the exact crossing distribution for small graphs, a Monte Carlo
 sampler for large ones, and z-score / tail-bound helpers.
 
-Crossings are counted by one sweep, not by testing edge pairs.  With
-each edge as the positions ``lo < hi`` of its ends, sorted by ``lo``
-ascending and ``hi`` descending,
+Crossings are counted by merging, not by testing edge pairs.  With each
+edge as the positions ``lo < hi`` of its ends, sorted by ``lo`` ascending
+and ``hi`` descending,
 
     C = #{i < j in that order : hi_i < hi_j} - #{(i, j) : hi_i <= lo_j}.
 
@@ -16,10 +16,14 @@ the crossing pairs plus the disjoint ones (``hi_i < lo_j``) and those
 that meet end to start (``hi_i = lo_j``); edges sharing a left end never
 count, because their ``hi`` descends.  The second term is exactly those
 disjoint and meeting pairs, read off a cumulative histogram of right
-ends.  The first term takes one Fenwick prefix query and one update per
-edge, so a count costs O(m log n) time and O(n + m) memory.
-``count_crossings`` runs the sweep in pure Python; Monte Carlo and
-exhaustive enumeration run it in numpy across many arrangements at once.
+ends.  The first term is a bottom-up merge over the sequence of right
+ends: pairs inside leaf blocks of ``_LEAF`` edges are compared directly,
+and at each level the two sorted halves of a block are sorted together,
+the left half tagged in the low bit, so that where the left values land
+tells how many right values lie above them.  Sorting the blocks makes a
+count O(m log² m) time and O(n + m) memory.  One numpy kernel runs it,
+vectorised across edges and arrangements at once: ``count_crossings``
+on one row, Monte Carlo and exhaustive enumeration on chunks of rows.
 The pair-by-pair count is kept as the oracle
 :func:`crossvar.brute.count_crossings_brute`.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .graph import Graph
 EXHAUSTIVE_LIMIT = 9
 # working set of one row chunk in the batch crossing count
 _SWEEP_BYTES = 1 << 23
+# edges per leaf block of the merge count, whose pairs are compared directly
+_LEAF = 8
 
 
 def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -73,43 +79,22 @@ def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
 def count_crossings(g: Graph, order) -> int:
     """Number of crossing edge pairs in the given arrangement.
 
-    One sweep over the edges in ``(lo, -hi)`` order with a Fenwick tree
-    over right ends (see the module docstring): O(m log n) time, O(n)
-    extra memory.
+    The batch count of the module docstring on one row: O(m log² m) time,
+    O(n + m) memory.
     """
     order = validate_arrangement(g, order)
-    n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    spans = sorted(
-        (min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in g.edges()
-    )
-    tree = [0] * n  # Fenwick tree over right ends 1..n-1; slot 0 unused
-    ends = [0] * n  # ends[x]: edges whose right end is x
-    crossings = 0
-    for _, neg_hi in spans:
-        hi = -neg_hi
-        i = hi - 1  # earlier edges whose right end is below hi
-        while i:
-            crossings += tree[i]
-            i &= i - 1
-        i = hi
-        while i < n:
-            tree[i] += 1
-            i += i & -i
-        ends[hi] += 1
-    ended = list(accumulate(ends))  # ended[x]: edges whose right end is <= x
-    return crossings - sum(ended[lo] for lo, _ in spans)
+    pos = np.argsort(np.array(order, dtype=np.int64))[None, :]
+    return int(_positions_to_crossings(g, pos)[0])
 
 
 def _chunk_rows(g: Graph) -> int:
     """Rows per chunk of the batch crossing count, so that one chunk's
     working set stays near ``_SWEEP_BYTES``."""
-    # about seven int64 values per edge and two per vertex, plus one row of
-    # the int32 Fenwick tree of _sweep
-    tree = (1 << (g.n - 1).bit_length()) + 2
-    row_bytes = 8 * (7 * g.m + 2 * g.n) + 4 * tree
+    # a row of positions beside _merge_count at its widest: six int64
+    # values per edge and two per vertex while right ends are counted, and
+    # no more while merging, as a row pads to fewer than 2m edges; 64 more
+    # cover small fixed arrays
+    row_bytes = 8 * (3 * g.n + 6 * g.m + 64)
     return max(1, _SWEEP_BYTES // row_bytes)
 
 
@@ -117,32 +102,24 @@ def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing counts for a batch of arrangements given as position rows.
 
     ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.  The
-    rows are swept in chunks of ``_chunk_rows(g)``, so memory is
+    rows are counted in chunks of ``_chunk_rows(g)``, so memory is
     O(rows·(n + m)) for small batches and bounded for large ones.
     """
-    rows, n = pos.shape
+    rows = len(pos)
     out = np.zeros(rows, dtype=np.int64)
     if g.m < 2:
         return out
     edges = np.array(list(g.edges()), dtype=np.int64)
-    size = 1 << (n - 1).bit_length()  # Fenwick slots 1..size hold right ends
     step = _chunk_rows(g)
     for start in range(0, rows, step):
-        out[start:start + step] = _sweep(edges, pos[start:start + step], size)
+        out[start:start + step] = _merge_count(edges, pos[start:start + step])
     return out
 
 
-def _sweep(edges: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
-    """The module docstring's sweep, vectorised across the rows of ``pos``.
-
-    Each row owns ``size + 2`` columns of one flat int32 Fenwick tree:
-    column 0 is read by finished prefix queries and never written, and
-    column ``size + 1`` is a sink that absorbs updates walking past the
-    root, so every query and update runs a fixed number of steps.
-    """
+def _merge_count(edges: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The module docstring's count, vectorised across rows and edges."""
     rows, n = pos.shape
-    levels = size.bit_length() - 1
-    width = size + 2
+    m = len(edges)
     a = pos[:, edges[:, 0]]
     b = pos[:, edges[:, 1]]
     lo = np.minimum(a, b)
@@ -151,21 +128,37 @@ def _sweep(edges: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
     shifted = hi + np.arange(rows, dtype=np.int64)[:, None] * n
     ended = np.bincount(shifted.ravel(), minlength=rows * n).reshape(rows, n).cumsum(axis=1)
     total = -np.take_along_axis(ended, lo, axis=1).sum(axis=1)
-    # each row's edges by lo ascending, hi descending; 0 < hi < n, so the
-    # sorted keys lo·n − hi give hi back as their residue mod n
-    hi = -np.sort(lo * n - hi, axis=1) % n
-    tree = np.zeros(rows * width, dtype=np.int32)
-    base = np.arange(rows, dtype=np.int64) * width
-    for h in hi.T:
-        i = h - 1  # earlier edges whose right end is below h
-        for _ in range(levels):
-            total += tree[base + i]
-            i &= i - 1
-        i = h.copy()
-        for _ in range(levels + 1):
-            tree[base + i] += 1
-            i += i & -i
-            np.minimum(i, size + 1, out=i)
+    del a, b, shifted, ended
+    # each row's right ends in (lo ascending, hi descending) order, padded
+    # with zeros to _LEAF·2^k: 0 < hi < n, so the sorted keys lo·n − hi give
+    # hi back as their residue mod n, and the zeros come last and are below
+    # every hi, so they add no pair
+    width = _LEAF << ((m - 1) // _LEAF).bit_length()
+    keys = np.zeros((rows, width), dtype=np.int64)
+    keys[:, :m] = -np.sort(lo * n - hi, axis=1) % n
+    del lo, hi
+    # pairs inside a leaf, compared directly
+    leaves = keys.reshape(rows, -1, _LEAF)
+    later = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+    total += ((leaves[..., :, None] < leaves[..., None, :]) & later).sum(axis=(1, 2, 3))
+    # pairs across the two sorted halves of each block, level by level: the
+    # keys are 2·hi, with the low bit set in the left half, so after sorting
+    # a block a left value precedes exactly the right values above it
+    leaves.sort(axis=-1)
+    keys <<= 1
+    half = _LEAF
+    while half < width:
+        pairs = keys.reshape(rows, -1, 2, half)
+        pairs[:, :, 0] |= 1
+        pairs.reshape(rows, -1, 2 * half).sort(axis=-1)
+        left = keys & 1
+        # a left value at place p of its block precedes 2·half − 1 − p
+        # values, half − 1 − (its rank among the left ones) of them left, so
+        # a block holds half·(3·half − 1)/2 − Σ_left p such pairs
+        place = np.arange(width, dtype=np.int64) % (2 * half)
+        total += width // (2 * half) * (half * (3 * half - 1) // 2) - left @ place
+        keys ^= left
+        half *= 2
     return total
 
 
@@ -227,9 +220,9 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     """Sample crossing counts from uniformly random arrangements.
 
     Deterministic for a fixed seed.  Arrangements are drawn one chunk of
-    ``_chunk_rows(g)`` rows at a time and counted by the module's sweep,
-    vectorised across the rows: O(m log n) steps per row, and memory near
-    ``_SWEEP_BYTES`` plus the samples.  Each row is shuffled in turn from
+    ``_chunk_rows(g)`` rows at a time and counted by the module's merge
+    count, vectorised across the rows: O(m log² m) time per row, and memory
+    near ``_SWEEP_BYTES`` plus the samples.  Each row is shuffled in turn from
     one generator, so the chunk size does not change the draws.
     """
     if samples < 2:

@@ -2,7 +2,7 @@
 pair-by-pair crossing counts.
 
 Everything here is deliberately independent of the fast edge-traversal
-forms in :mod:`crossvar.census` and of the crossing sweep in
+forms in :mod:`crossvar.census` and of the crossing merge count in
 :mod:`crossvar.arrangements`: counts come from explicit enumeration of
 edge pairs, walks and vertex subsets, plus naive adjacency-matrix powers
 as an extra cross-check.

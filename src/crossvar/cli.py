@@ -147,8 +147,6 @@ def _time_call(fn, g, reps: int) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.model != "er":
-        raise ValidationError(f"unknown benchmark model {args.model!r}")
     rows = []
     for n in args.n_list:
         for p in args.p_list:
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(fn=cmd_selftest)
 
     p_bench = sub.add_parser("bench", help="time the general route with/without reuse")
-    p_bench.add_argument("--model", default="er")
     p_bench.add_argument("--n-list", type=int, nargs="+", default=[10, 50, 100], dest="n_list")
     p_bench.add_argument(
         "--p-list", type=float, nargs="+", default=[0.1, 0.5], dest="p_list"

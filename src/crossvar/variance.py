@@ -35,6 +35,7 @@ from .frequencies import (
     frequencies_brute,
     frequencies_from_census,
 )
+from .errors import ValidationError
 from .graph import Graph, compute_q
 
 
@@ -171,12 +172,9 @@ def variance_rla_closed(g: Graph) -> VarianceResult:
     return _result(c.q, Fraction(scaled, 180), "rla-closed", builtin_rla_table())
 
 
-ALGORITHMS = ("naive", "general", "reuse", "forest", "rla-closed", "auto")
-
-
 def select_algorithm(g: Graph, requested: str = "auto") -> str:
-    if requested not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {requested!r}")
+    """The route name ``requested``, or for ``auto`` the forest route on
+    forests and the reuse route otherwise."""
     if requested != "auto":
         return requested
     return "forest" if g.is_forest() else "reuse"
@@ -189,12 +187,14 @@ def compute_variance(
     algorithm = select_algorithm(g, algorithm)
     if algorithm == "rla-closed":
         if table is not None and table.name != "rla":
-            raise ValueError("the closed form is specific to the rla layout")
+            raise ValidationError("the closed form is specific to the rla layout")
         return variance_rla_closed(g)
-    fn = {
+    routes = {
         "naive": variance_naive,
         "general": variance_general,
         "reuse": variance_general_reuse,
         "forest": variance_forest,
-    }[algorithm]
-    return fn(g, table)
+    }
+    if algorithm not in routes:
+        raise ValidationError(f"unknown algorithm {algorithm!r}")
+    return routes[algorithm](g, table)

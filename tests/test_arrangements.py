@@ -88,6 +88,22 @@ class TestCountCrossings:
         order = data.draw(st.permutations(range(g.n)))
         assert count_crossings(g, order) == count_crossings_brute(g, order)
 
+    @pytest.mark.parametrize(
+        "m", [arrangements._LEAF, arrangements._LEAF + 1, 2 * arrangements._LEAF, None]
+    )
+    def test_matches_oracle_across_merge_levels(self, m):
+        # edge counts that fill one leaf block, spill one edge past it and
+        # fill two; None is ER(60, 0.3), 518 edges over seven merge levels
+        rnd = random.Random(m)
+        if m is None:
+            g = erdos_renyi(60, 0.3, seed=1)
+        else:
+            g = Graph(12, rnd.sample(list(combinations(range(12), 2)), m))
+        for _ in range(5):
+            order = list(range(g.n))
+            rnd.shuffle(order)
+            assert count_crossings(g, order) == count_crossings_brute(g, order)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_batch_sweep_matches_oracle_row_by_row(self, data):

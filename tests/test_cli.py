@@ -4,17 +4,31 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import crossvar
 from crossvar import cli
+from crossvar.census import fast_census
 from crossvar.cli import main
+from crossvar.frequencies import builtin_rla_table
+from crossvar.generators import erdos_renyi, random_tree
+from crossvar.variance import compute_variance
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0\n"
 STAR_EDGES = "0 1\n0 2\n0 3\n0 4\n"
 TREE_EDGES = "0 1\n1 2\n1 3\n3 4\n"
+RLA_TABLE = (
+    "delta = 1/3\np_00 = 1/9\np_01 = 1/9\np_021 = 1/10\np_022 = 7/60\n"
+    "p_03 = 1/12\np_04 = 0\np_12 = 2/15\np_13 = 1/6\np_24 = 1/3\n"
+)
+
+
+def write_graph(path, g):
+    path.write_text(f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    return str(path)
 
 
 @pytest.fixture
@@ -54,6 +68,13 @@ class TestStats:
     def test_missing_file_exits_2(self):
         assert main(["stats", "/does/not/exist.txt"]) == 2
 
+    def test_json_matches_library(self, tmp_path, capsys):
+        g = erdos_renyi(12, 0.4, seed=5)
+        assert main(["stats", write_graph(tmp_path / "er.txt", g), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["census"] == fast_census(g).to_json_dict()
+        assert Fraction(payload["expectation_rla"]) == Fraction(fast_census(g).q, 3)
+
 
 class TestVariance:
     def test_c4_auto(self, c4_file, capsys):
@@ -84,17 +105,34 @@ class TestVariance:
 
     def test_layout_table_file(self, c4_file, tmp_path, capsys):
         table = tmp_path / "rla.table"
-        table.write_text(
-            "delta = 1/3\np_00 = 1/9\np_01 = 1/9\np_021 = 1/10\np_022 = 7/60\n"
-            "p_03 = 1/12\np_04 = 0\np_12 = 2/15\np_13 = 1/6\np_24 = 1/3\n"
-        )
+        table.write_text(RLA_TABLE)
         assert main(["variance", c4_file, "--layout", str(table), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["variance"] == "2/9"
 
-    def test_json_round_trips(self, c4_file, capsys):
-        assert main(["variance", c4_file, "--json"]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(json.dumps(json.loads(out))) == json.loads(out)
+    def test_closed_form_with_table_file_exits_2(self, c4_file, tmp_path, capsys):
+        # the closed form holds only for the built-in rla layout
+        table = tmp_path / "rla.table"
+        table.write_text(RLA_TABLE)
+        argv = ["variance", c4_file, "--algorithm", "closed", "--layout", str(table)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_json_round_trips(self, tmp_path, capsys):
+        # every --algorithm choice prints the library's exact values
+        er = erdos_renyi(9, 0.5, seed=2)
+        tree = random_tree(11, seed=3)
+        er_file = write_graph(tmp_path / "er.txt", er)
+        tree_file = write_graph(tmp_path / "tree.txt", tree)
+        for choice in ("auto", "naive", "general", "reuse", "forest", "closed"):
+            g, path = (tree, tree_file) if choice == "forest" else (er, er_file)
+            assert main(["variance", path, "--algorithm", choice, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            algorithm = "rla-closed" if choice == "closed" else choice
+            r = compute_variance(g, algorithm=algorithm, table=builtin_rla_table())
+            assert payload["algorithm"] == r.algorithm
+            assert payload["q"] == r.q
+            assert Fraction(payload["expectation"]) == r.expectation
+            assert Fraction(payload["variance"]) == r.variance
 
 
 class TestZscore:
@@ -146,8 +184,13 @@ class TestBench:
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["model"] == "er"
         row = payload["rows"][0]
         assert row["n"] == 10 and row["time_general_ns"] > 0
+
+    def test_model_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--model", "er", "--n-list", "10", "--graphs", "1"])
 
     def test_time_call_is_best_of_reps(self, monkeypatch):
         ticks = iter([0, 50, 100, 110, 200, 230])  # runs of 50, 10 and 30 ns

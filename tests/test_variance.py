@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from crossvar import graph as graph_module
 from crossvar.brute import brute_census, count_triangles_brute
 from crossvar.census import fast_census
-from crossvar.errors import NotAForestError
+from crossvar.errors import NotAForestError, ValidationError
 from crossvar.frequencies import builtin_rla_table
 from crossvar.generators import (
     complete,
@@ -139,7 +139,7 @@ class TestDispatch:
             compute_variance(complete(4), algorithm="forest")
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             compute_variance(path(4), algorithm="bogus")
 
     def test_closed_form_rejects_foreign_table(self):
@@ -147,7 +147,7 @@ class TestDispatch:
 
         rla = builtin_rla_table()
         table = ExpectationTable(name="custom", delta=rla.delta, gamma=rla.gamma)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             compute_variance(path(4), algorithm="rla-closed", table=table)
 
 
