@@ -109,19 +109,19 @@ def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
     out = np.zeros(rows, dtype=np.int64)
     if g.m < 2:
         return out
-    edges = np.array(list(g.edges()), dtype=np.int64)
     step = _chunk_rows(g)
     for start in range(0, rows, step):
-        out[start:start + step] = _merge_count(edges, pos[start:start + step])
+        out[start:start + step] = _merge_count(g.edge_u, g.edge_v, pos[start:start + step])
     return out
 
 
-def _merge_count(edges: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The module docstring's count, vectorised across rows and edges."""
+def _merge_count(eu: np.ndarray, ev: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The module docstring's count for the edges ``(eu[i], ev[i])``,
+    vectorised across rows and edges."""
     rows, n = pos.shape
-    m = len(edges)
-    a = pos[:, edges[:, 0]]
-    b = pos[:, edges[:, 1]]
+    m = len(eu)
+    a = pos[:, eu]
+    b = pos[:, ev]
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     # pairs with hi_i <= lo_j, from a cumulative histogram of right ends

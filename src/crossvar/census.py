@@ -69,7 +69,19 @@ class CensusReport:
 
 def merge_intersection(g: Graph, u: int, v: int) -> tuple[int, int]:
     """``(c_uv, S_uv)`` by a linear merge of the two sorted adjacency lists."""
-    a, b, degrees = g.adjacency[u], g.adjacency[v], g.degrees
+    return _merge(g.adjacency, g.degrees, u, v)
+
+
+def bound_merge(g: Graph) -> Intersect:
+    """:func:`merge_intersection` on ``g`` with its views looked up once, for
+    a census pass that makes many requests."""
+    return partial(_merge, g.adjacency, g.degrees)
+
+
+def _merge(
+    adjacency: tuple[tuple[int, ...], ...], degrees: tuple[int, ...], u: int, v: int
+) -> tuple[int, int]:
+    a, b = adjacency[u], adjacency[v]
     i = j = 0
     size = deg = 0
     la, lb = len(a), len(b)
@@ -94,7 +106,7 @@ def _intersection_sums(g: Graph, inter: Intersect) -> tuple[int, int, int, int]:
     Summing ``c_ab - 1`` over the wedges ``a-x-b`` counts each vertex pair
     ``c_ab (c_ab - 1)`` times, and each 4-cycle has two diagonals.
     """
-    k = g.degrees
+    k, adjacency = g.degrees, g.adjacency
     mu2 = s_sum = kc_sum = 0
     for s, t in g.edges():
         c, d = inter(s, t)
@@ -102,7 +114,7 @@ def _intersection_sums(g: Graph, inter: Intersect) -> tuple[int, int, int, int]:
         s_sum += d
         kc_sum += (k[s] + k[t]) * c
     c4_scaled = 0
-    for neighbors in g.adjacency:
+    for neighbors in adjacency:
         for a, b in combinations(neighbors, 2):
             c4_scaled += inter(a, b)[0] - 1
     return mu2, s_sum, kc_sum, c4_scaled
@@ -157,7 +169,7 @@ def reduce_census(g: Graph, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int) -
 
 def fast_census(g: Graph) -> CensusReport:
     """The paper's general route: a sorted-list merge for every request."""
-    sums = _intersection_sums(g, partial(merge_intersection, g))
+    sums = _intersection_sums(g, bound_merge(g))
     return reduce_census(g, *sums)
 
 

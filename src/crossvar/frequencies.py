@@ -8,9 +8,13 @@ have zero common edges and two common vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -345,31 +349,44 @@ class ExpectationTable:
 
     name: str
     delta: Fraction
-    gamma: dict[str, Fraction] = field(compare=False)
+    gamma: Mapping[str, Fraction] = field(compare=False)
 
     def __post_init__(self):
         missing = [code for code in PRODUCT_TYPES if code not in self.gamma]
         if missing:
             raise ValidationError(f"expectation table missing type(s): {missing}")
 
+    @cached_property
+    def scaled_gamma(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, numerators)``: the expectation of each of
+        ``CONTRIBUTING_TYPES`` as its numerator over one common denominator
+        ``d``, so that a variance needs a single rational division."""
+        gamma = [Fraction(self.gamma[code]) for code in CONTRIBUTING_TYPES]
+        d = math.lcm(*(x.denominator for x in gamma))
+        return d, tuple(x.numerator * (d // x.denominator) for x in gamma)
+
 
 def builtin_rla_table() -> ExpectationTable:
-    """Expectations for uniformly random linear arrangements."""
-    return ExpectationTable(
-        name="rla",
-        delta=Fraction(1, 3),
-        gamma={
-            "00": Fraction(0),
-            "01": Fraction(0),
-            "021": Fraction(-1, 90),
-            "022": Fraction(1, 180),
-            "03": Fraction(-1, 36),
-            "04": Fraction(-1, 9),
-            "12": Fraction(1, 45),
-            "13": Fraction(1, 18),
-            "24": Fraction(2, 9),
-        },
-    )
+    """Expectations for uniformly random linear arrangements (one shared,
+    read-only table, built on import)."""
+    return _RLA_TABLE
+
+
+_RLA_TABLE = ExpectationTable(
+    name="rla",
+    delta=Fraction(1, 3),
+    gamma=MappingProxyType({
+        "00": Fraction(0),
+        "01": Fraction(0),
+        "021": Fraction(-1, 90),
+        "022": Fraction(1, 180),
+        "03": Fraction(-1, 36),
+        "04": Fraction(-1, 9),
+        "12": Fraction(1, 45),
+        "13": Fraction(1, 18),
+        "24": Fraction(2, 9),
+    }),
+)
 
 
 def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:

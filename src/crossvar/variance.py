@@ -22,9 +22,9 @@ from fractions import Fraction
 from .census import (
     CensusReport,
     _intersection_sums,
+    bound_merge,
     fast_census,
     forest_census,
-    merge_intersection,
     reduce_census,
 )
 from .frequencies import (
@@ -84,9 +84,10 @@ def variance_from_frequencies(
 ) -> Fraction:
     """Inner product of type frequencies with the layout expectations."""
     table = table or builtin_rla_table()
-    return sum(
-        (freq.counts[code] * table.gamma[code] for code in CONTRIBUTING_TYPES),
-        start=Fraction(0),
+    d, numerators = table.scaled_gamma
+    counts = freq.counts
+    return Fraction(
+        sum(counts[code] * x for code, x in zip(CONTRIBUTING_TYPES, numerators)), d
     )
 
 
@@ -136,11 +137,12 @@ def variance_general_reuse(
     ``hash_table_size`` is the number of distinct pairs requested.
     """
     cache: dict[tuple[int, int], tuple[int, int]] = {}
+    merge = bound_merge(g)
 
     def inter(a: int, b: int) -> tuple[int, int]:
         hit = cache.get((a, b))
         if hit is None:
-            hit = cache[a, b] = merge_intersection(g, a, b)
+            hit = cache[a, b] = merge(a, b)
         return hit
 
     c = reduce_census(g, *_intersection_sums(g, inter))

@@ -1,0 +1,274 @@
+"""The array core of Graph, the whole-text parser and the input budget."""
+
+import time
+import tracemalloc
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from crossvar import cli, graph
+from crossvar.errors import CrossvarError, ValidationError
+from crossvar.generators import path, random_forest, random_tree, star
+from crossvar.graph import MAX_VERTICES, Graph, degree_aggregates, parse_edge_list
+
+
+def edge_lists(max_n=9):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                     .filter(lambda e: e[0] != e[1]), max_size=3 * n),
+        )
+    )
+
+
+class TestArrays:
+    @given(edge_lists())
+    def test_arrays_match_views(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        for a in (g.edge_u, g.edge_v, g.indptr, g.indices, g.degree_array):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        expected = sorted({(min(u, v), max(u, v)) for u, v in edges})
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == expected
+        assert list(g.edges()) == expected
+        rows = [tuple(g.indices[g.indptr[s]:g.indptr[s + 1]].tolist()) for s in range(n)]
+        assert g.adjacency == tuple(rows)
+        assert g.degrees == tuple(len(r) for r in rows) == tuple(g.degree_array.tolist())
+        assert g.m == len(expected)
+
+    def test_views_hold_python_ints(self):
+        g = Graph(5, [(4, 0), (1, 3)])
+        assert all(type(x) is int for row in g.adjacency for x in row)
+        assert all(type(x) is int for x in g.degrees)
+        assert all(type(x) is int for e in g.edges() for x in e)
+        assert isinstance(g.adjacency, tuple) and isinstance(g.adjacency[0], tuple)
+
+    def test_equality_and_hash(self):
+        a = Graph(4, [(0, 1), (2, 3)])
+        b = Graph(4, [(3, 2), (1, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b) == hash((4, a.adjacency))
+        assert a != Graph(5, [(0, 1), (2, 3)])
+        assert a != Graph(4, [(0, 1), (1, 3)])
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(ValidationError, match=r"edge \(0, 7\) out of range"):
+            Graph(3, [(0, 1), (0, 7), (2, 2)])
+        with pytest.raises(ValidationError, match="self-loop at vertex 2"):
+            Graph(3, [(0, 1), (2, 2), (0, 7)])
+        with pytest.raises(ValidationError):
+            Graph(3, [(0, -1)])
+
+    def test_from_edges_accepts_arrays_and_iterators(self):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        assert Graph.from_edges(np.array([[0, 1], [1, 2]])) == g
+        assert Graph(3, iter([(0, 1), (1, 2)])) == g
+        assert Graph.from_edges([]) == Graph(0, [])
+
+
+def _acyclic_by_union_find(n, edges):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+class TestForest:
+    @given(edge_lists(max_n=12))
+    def test_matches_union_find(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        assert g.is_forest() is _acyclic_by_union_find(n, list(g.edges()))
+
+    @pytest.mark.parametrize("make", [
+        lambda: star(500),
+        # the hub carries the largest label, so every hook races onto it
+        lambda: Graph(500, [(i, 499) for i in range(499)]),
+        lambda: path(2000),
+        lambda: random_tree(3000, seed=3),
+        lambda: random_forest(3000, seed=4),
+    ])
+    def test_trees_and_forests(self, make):
+        assert make().is_forest() is True
+
+    def test_relabelled_path_with_one_chord(self):
+        perm = np.random.default_rng(0).permutation(1000).tolist()
+        edges = [(perm[i], perm[i + 1]) for i in range(999)]
+        assert Graph(1000, edges).is_forest() is True
+        assert Graph(1000, edges + [(perm[0], perm[999])]).is_forest() is False
+
+    def test_empty_graphs(self):
+        assert Graph(0, []).is_forest() is True
+        assert Graph(3, []).is_forest() is True
+
+
+def _aggregates_by_definition(g):
+    k = g.degrees
+    xi = [sum(k[t] for t in g.adjacency[s]) for s in range(g.n)]
+    return dict(
+        mmt2=sum(d ** 2 for d in k), mmt3=sum(d ** 3 for d in k),
+        mmt4=sum(d ** 4 for d in k), xi2=sum(x * x for x in xi),
+        k2xi=sum(d * d * x for d, x in zip(k, xi)),
+        psi=sum(k[u] * k[v] for u, v in g.edges()),
+        q=(g.m * (g.m + 1) - sum(d ** 2 for d in k)) // 2,
+    )
+
+
+class TestAggregatesBeyondInt64:
+    def test_star_past_int64(self):
+        g = star(70_001)
+        assert max(g.degrees) ** 4 > 2 ** 63
+        agg = degree_aggregates(g)
+        assert vars(agg) == _aggregates_by_definition(g)
+        assert all(type(v) is int for v in vars(agg).values())
+
+    def test_star_with_a_pendant_path(self):
+        g = Graph(70_003, [(0, i) for i in range(1, 70_001)] + [(1, 70_001), (70_001, 70_002)])
+        assert vars(degree_aggregates(g)) == _aggregates_by_definition(g)
+
+    @given(edge_lists())
+    def test_small_graphs(self, data):
+        g = Graph(*data)
+        assert vars(degree_aggregates(g)) == _aggregates_by_definition(g)
+
+
+def _outcome(text):
+    """What parsing ``text`` gives: the graph and warnings, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse_edge_list(text)
+        except CrossvarError as exc:
+            return ("error", type(exc), getattr(exc, "line_number", None), str(exc))
+    return ("graph", g.n, g.adjacency, [str(w.message) for w in caught])
+
+
+def _outcome_line_by_line(text):
+    with mock.patch.object(graph, "_scan_whole", lambda text: None):
+        return _outcome(text)
+
+
+_vertex = st.integers(0, 11)
+_blank = st.sampled_from(["", " ", "\t", " \t "])
+_edge_line = st.builds(
+    lambda u, v, sep, pre, post: f"{pre}{u}{sep}{v}{post}",
+    _vertex, _vertex, st.sampled_from([" ", "\t", "  ", " \t"]), _blank, _blank,
+).filter(lambda line: len(set(line.split())) == 2)
+_comment_line = st.builds(
+    lambda pre, body: f"{pre}#{body}", _blank,
+    st.sampled_from(["", " c", "# 0 1", " n=3", " x y z", " \u00e9", "\t1 2 3"]),
+)
+_good_line = st.one_of(_edge_line, _edge_line, _comment_line, _blank)
+_bad_line = st.sampled_from([
+    "5", "1 2 3", "a b", "1 x", "-1 2", "3 -4", "3 3", " 7\t7 ", "n=4", "1 2 # c",
+    "+1 2", "0x1 2", "1.0 2", "1_0 2", "99999999999999999999 1",
+])
+_header = st.one_of(
+    st.none(), st.integers(0, 14).map(lambda k: f"n={k}"),
+    st.sampled_from(["n= 9", " n=12\t", "n=-1", "n=x", "n=3 4"]),
+)
+
+
+@st.composite
+def edge_list_texts(draw, malformed):
+    lines = draw(st.lists(_good_line, max_size=12))
+    # two bad lines can hold an even number of tokens between them
+    for _ in range(draw(st.integers(1, 2)) if malformed else 0):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_bad_line))
+    header = draw(_header)
+    if header is not None:
+        lines.insert(draw(st.integers(0, 2 if malformed else 0)), header)
+    # the header must be the first line that is not blank or a comment
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return text
+
+
+class TestWholeTextScan:
+    @given(edge_list_texts(malformed=False))
+    def test_well_formed_text(self, text):
+        assert _outcome(text) == _outcome_line_by_line(text)
+
+    @given(edge_list_texts(malformed=True))
+    def test_malformed_text(self, text):
+        assert _outcome(text) == _outcome_line_by_line(text)
+
+    @given(st.lists(_edge_line | _comment_line | _blank, max_size=12),
+           st.sampled_from(["\n", "\r\n"]), st.integers(0, 14))
+    def test_plain_text_takes_the_whole_text_scan(self, lines, newline, n):
+        text = newline.join([f"n={n}", *lines])
+        ids = [int(tok) for line in lines if not line.strip().startswith("#")
+               for tok in line.split()]
+        if max(ids, default=-1) < n:
+            assert graph._scan_whole(text) is not None
+
+    def test_repeated_and_reversed_edges_warn_once(self):
+        text = "n=4\r\n# c\r\n0 1\r\n1\t0\r\n\r\n2 3\r\n0 1"
+        assert graph._scan_whole(text) is not None
+        outcome = _outcome(text)
+        assert outcome == ("graph", 4, ((1,), (0,), (3,), (2,)), ["collapsed 2 duplicate edge(s)"])
+        assert outcome == _outcome_line_by_line(text)
+
+    @pytest.mark.parametrize("text", [
+        "0 1\x0b2 3\n", "# c\x0c0 1\n", "0 1\x852 3\n", "# c\u20280 1\n", "0 1\r2 3",
+    ])
+    def test_other_line_breaks(self, text):
+        assert _outcome(text) == _outcome_line_by_line(text)
+
+    @pytest.mark.parametrize("text", ["0\n1\n", "0 1 2\n3\n", "0\n1 2 3\n", "0 \n 1\n"])
+    def test_pair_split_across_lines(self, text):
+        outcome = _outcome(text)
+        assert outcome[0] == "error" and outcome == _outcome_line_by_line(text)
+
+
+class TestBudget:
+    def test_scan_boundaries(self):
+        pairs, _ = graph._scan_whole(f"0 {MAX_VERTICES - 1}\n")
+        assert pairs.tolist() == [[0, MAX_VERTICES - 1]]
+        assert graph._scan_whole(f"0 {MAX_VERTICES}\n") is None
+        assert graph._scan_whole(f"n={MAX_VERTICES + 1}\n") is None
+        with pytest.raises(ValidationError, match="line 2"):
+            graph._scan_lines(f"0 1\n0 {MAX_VERTICES}\n")
+        with pytest.raises(ValidationError, match="line 1"):
+            graph._scan_lines(f"n={MAX_VERTICES + 1}\n")
+
+    def test_graph_refuses_oversized_n(self):
+        with pytest.raises(ValidationError):
+            Graph(10 ** 12, [])
+
+    @pytest.mark.parametrize("text", [
+        "n=1000000000000\n0 1\n",
+        "0 1\n1 1000000000000\n",
+        # int64 saturates silently at 9223372036854775807
+        "0 99999999999999999999\n",
+        "n=99999999999999999999\n",
+    ])
+    def test_cli_refuses_before_allocating(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc = cli.main(["variance", str(path), "--json"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert elapsed < 0.5
+        assert peak < 4 * 2 ** 20
+        assert "exceeds the budget" in capsys.readouterr().err

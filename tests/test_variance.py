@@ -10,7 +10,13 @@ from crossvar import graph as graph_module
 from crossvar.brute import brute_census, count_triangles_brute
 from crossvar.census import fast_census
 from crossvar.errors import NotAForestError, ValidationError
-from crossvar.frequencies import builtin_rla_table
+from crossvar.frequencies import (
+    CONTRIBUTING_TYPES,
+    PRODUCT_TYPES,
+    ExpectationTable,
+    FrequencyVector,
+    builtin_rla_table,
+)
 from crossvar.generators import (
     complete,
     complete_bipartite,
@@ -33,6 +39,7 @@ from crossvar.variance import (
     variance_general,
     variance_general_reuse,
     variance_naive,
+    variance_from_frequencies,
     variance_rla_closed,
 )
 
@@ -215,3 +222,25 @@ def test_degenerate_graphs_have_zero_variance():
     for g in (path(1), path(2), path(3), star(4)):
         r = compute_variance(g)
         assert r.variance == 0 and r.expectation == Fraction(r.q, 3)
+
+
+class TestInnerProduct:
+    _fractions = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**6)
+
+    @given(
+        st.dictionaries(st.sampled_from(PRODUCT_TYPES), _fractions, min_size=9),
+        st.lists(st.integers(0, 10**30), min_size=7, max_size=7),
+    )
+    def test_common_denominator_matches_fraction_sum(self, gamma, counts):
+        table = ExpectationTable(name="custom", delta=Fraction(1, 3), gamma=gamma)
+        freq = FrequencyVector(counts=dict(zip(CONTRIBUTING_TYPES, counts)), null_total=0)
+        expected = sum(
+            (freq.counts[code] * gamma[code] for code in CONTRIBUTING_TYPES), start=Fraction(0)
+        )
+        assert variance_from_frequencies(freq, table) == expected
+
+    def test_builtin_table_is_shared_and_read_only(self):
+        table = builtin_rla_table()
+        assert builtin_rla_table() is table
+        with pytest.raises(TypeError):
+            table.gamma["24"] = Fraction(0)
