@@ -31,6 +31,7 @@ The pair-by-pair count is kept as the oracle
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
@@ -53,11 +54,27 @@ _LEAF = 8
 
 
 def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Check that ``order`` is a permutation of the vertices of ``g``."""
+    """Check that ``order`` is a permutation of the vertices of ``g``.
+
+    An error names the first vertex id that is out of range, or else the
+    first vertex that is missing or repeated, never the whole order.
+    """
     order = tuple(order)
-    if sorted(order) != list(range(g.n)):
+    try:
+        ids = np.fromiter(map(operator.index, order), dtype=np.int64, count=len(order))
+    except (TypeError, OverflowError):
+        raise ValidationError("arrangement must list integer vertex ids") from None
+    outside = (ids < 0) | (ids >= g.n)
+    if outside.any():
         raise ValidationError(
-            f"arrangement must be a permutation of 0..{g.n - 1}, got {order}"
+            f"arrangement has vertex {ids[outside.argmax()]} outside 0..{g.n - 1}"
+        )
+    times = np.bincount(ids, minlength=g.n)
+    if (times != 1).any():
+        v = int((times != 1).argmax())
+        raise ValidationError(
+            f"arrangement must be a permutation of 0..{g.n - 1}, "
+            f"but vertex {v} appears {times[v]} times"
         )
     return order
 

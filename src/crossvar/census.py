@@ -1,39 +1,42 @@
 """Subgraph census: one reduction from degree sums and intersection sums.
 
 Every :class:`CensusReport` field is a closed form in the degree
-aggregates of :mod:`crossvar.graph` and four sums over neighbourhood
-intersections, where ``c_st`` and ``S_st`` are the number and the degree
-sum of the common neighbours of two vertices:
+aggregates of :mod:`crossvar.graph` and three sums over neighbourhood
+intersections, where ``c_st`` is the number of common neighbours of two
+vertices:
 
 * ``mu2 = sum_e c_st`` (three times the triangle count),
-* ``s_sum = sum_e S_st`` (the degree sum over triangle corners),
-* ``kc_sum = sum_e (k_s + k_t) c_st``,
-* ``c4_scaled = sum over wedges a-x-b of (c_ab - 1)`` (four times the
+* ``s_sum = sum_e (k_s + k_t) c_st / 2`` (the degree sum over triangle
+  corners),
+* ``c4_scaled = sum over vertex pairs of c_ab (c_ab - 1)`` (four times the
   4-cycle count).
 
-:func:`reduce_census` takes the degree sums from
-:func:`crossvar.graph.degree_aggregates` and turns them and the four
-intersection sums into the census.  The routes differ only
-in where the intersections come from: :func:`fast_census` merges sorted
-adjacency lists on every request, the reuse route of
-:mod:`crossvar.variance` puts the same merge behind a cache keyed by vertex
-pair, and :func:`forest_census` requests none, because all four sums vanish
-on an acyclic graph.  Each count has a brute-force counterpart in
-:mod:`crossvar.brute` that serves as its oracle.
+:func:`reduce_census` turns them and the degree sums of
+:func:`crossvar.graph.degree_aggregates` into the census.  The routes
+differ only in where the intersections come from: :func:`fast_census`
+merges two sorted adjacency lists for every edge and every wedge
+``a-x-b``, :func:`table_census` counts equal keys in one sorted table of
+vertex pairs, and :func:`forest_census` requests none, because all three
+sums vanish on an acyclic graph.  The table is sorted in blocks of whole
+rows; a block of ``K`` entries has int64 sums of at most ``2n·K``, below
+2^62 for any block that fits in memory (``n <= 2^25``, ``K < 2^36``), and
+the blocks are added up as Python ints.  Each count has a brute-force
+counterpart in :mod:`crossvar.brute` that serves as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import combinations
-from typing import Callable
+
+import numpy as np
 
 from .errors import InternalInconsistencyError, NotAForestError
 from .graph import Graph, degree_aggregates
 
-#: ``inter(a, b) -> (c_ab, S_ab)`` for two distinct vertices ``a < b``
-Intersect = Callable[[int, int], tuple[int, int]]
+#: entries per block of the pair table: a block has at most six int64
+#: arrays of its length alive at once, so its working set stays under 4 MiB
+_TABLE_KEYS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,57 +70,42 @@ class CensusReport:
         }
 
 
-def merge_intersection(g: Graph, u: int, v: int) -> tuple[int, int]:
-    """``(c_uv, S_uv)`` by a linear merge of the two sorted adjacency lists."""
-    return _merge(g.adjacency, g.degrees, u, v)
-
-
-def bound_merge(g: Graph) -> Intersect:
-    """:func:`merge_intersection` on ``g`` with its views looked up once, for
-    a census pass that makes many requests."""
-    return partial(_merge, g.adjacency, g.degrees)
-
-
-def _merge(
-    adjacency: tuple[tuple[int, ...], ...], degrees: tuple[int, ...], u: int, v: int
-) -> tuple[int, int]:
-    a, b = adjacency[u], adjacency[v]
-    i = j = 0
-    size = deg = 0
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """``c_ab``: the entries two sorted neighbour tuples share, by a linear merge."""
+    i = j = size = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
         x, y = a[i], b[j]
         if x == y:
             size += 1
-            deg += degrees[x]
             i += 1
             j += 1
         elif x < y:
             i += 1
         else:
             j += 1
-    return size, deg
+    return size
 
 
-def _intersection_sums(g: Graph, inter: Intersect) -> tuple[int, int, int, int]:
-    """``(mu2, s_sum, kc_sum, c4_scaled)``: one request per edge and per wedge.
+def _intersection_sums(g: Graph) -> tuple[int, int, int]:
+    """``(mu2, s_sum, c4_scaled)``: one merge per edge and per wedge.
 
-    Every request has ``a < b``, so a cache can use ``(a, b)`` as its key.
     Summing ``c_ab - 1`` over the wedges ``a-x-b`` counts each vertex pair
-    ``c_ab (c_ab - 1)`` times, and each 4-cycle has two diagonals.
+    ``c_ab (c_ab - 1)`` times.
     """
-    k, adjacency = g.degrees, g.adjacency
-    mu2 = s_sum = kc_sum = 0
+    # adjacency before degrees: the degree tuple then is not alive at the
+    # adjacency build's peak
+    adjacency, k = g.adjacency, g.degrees
+    mu2 = s_twice = 0
     for s, t in g.edges():
-        c, d = inter(s, t)
+        c = _merge(adjacency[s], adjacency[t])
         mu2 += c
-        s_sum += d
-        kc_sum += (k[s] + k[t]) * c
+        s_twice += (k[s] + k[t]) * c
     c4_scaled = 0
     for neighbors in adjacency:
         for a, b in combinations(neighbors, 2):
-            c4_scaled += inter(a, b)[0] - 1
-    return mu2, s_sum, kc_sum, c4_scaled
+            c4_scaled += _merge(adjacency[a], adjacency[b]) - 1
+    return mu2, _exact_quotient(s_twice, 2, "s_sum"), c4_scaled
 
 
 def _exact_quotient(scaled: int, divisor: int, name: str) -> int:
@@ -128,13 +116,15 @@ def _exact_quotient(scaled: int, divisor: int, name: str) -> int:
     return scaled // divisor
 
 
-def reduce_census(g: Graph, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int) -> CensusReport:
-    """Every census field from degree sums and the four intersection sums.
+def reduce_census(g: Graph, mu2: int, s_sum: int, c4_scaled: int) -> CensusReport:
+    """Every census field from degree sums and the three intersection sums.
 
     The degree sums come from :func:`crossvar.graph.degree_aggregates`, so
-    the reduction itself sums nothing over vertices or edges.  The path-5
-    count uses ``sum_triangles (k_x + k_y + k_z) = s_sum`` in ``nP5 =
-    sum_x [(xi_x - k_x)^2 - k_x (k_x - 1)^2] / 2 - 4 nC4 - 2 s_sum + 3 mu2``.
+    the reduction itself sums nothing over vertices or edges.  Each triangle
+    adds its corner degrees once to ``s_sum`` and twice to ``sum_e (k_s +
+    k_t) c_st``, which ``lambda2`` and ``nC3L2`` take as ``2 s_sum``.  The
+    path-5 count is ``nP5 = sum_x [(xi_x - k_x)^2 - k_x (k_x - 1)^2] / 2 -
+    4 nC4 - 2 s_sum + 3 mu2``.
     """
     agg, m = degree_aggregates(g), g.m
     mmt2, mmt3, mmt4, psi = agg.mmt2, agg.mmt3, agg.mmt4, agg.psi
@@ -142,8 +132,9 @@ def reduce_census(g: Graph, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int) -
     # per-edge sums of (k_t - 1)(xi_s - k_t) + (k_s - 1)(xi_t - k_s) and of
     # (k_s + k_t)(k_s - 1)(k_t - 1), gathered by vertex
     lambda1 = xi2 - mmt3 - 2 * psi + mmt2 - 2 * s_sum
-    lambda2 = lambda1 + k2xi - mmt3 - 2 * psi + mmt2 - kc_sum
+    lambda2 = lambda1 + k2xi - mmt3 - 2 * psi + mmt2 - 2 * s_sum
     phi2_twice = mmt2 * mmt2 - 2 * k2xi - xi2 - mmt4 + mmt3 + 2 * psi
+    n_c3 = _exact_quotient(mu2, 3, "nC3")
     n_c4 = _exact_quotient(c4_scaled, 4, "nC4")
     p5_twice = (
         xi2 - 4 * psi + 3 * mmt2 - mmt3 - 2 * m
@@ -160,17 +151,57 @@ def reduce_census(g: Graph, mu2: int, s_sum: int, kc_sum: int, c4_scaled: int) -
         mu2=mu2,
         nP4=m - mmt2 + psi - mu2,
         nP5=_exact_quotient(p5_twice, 2, "nP5"),
-        nC3=_exact_quotient(mu2, 3, "nC3"),
+        nC3=n_c3,
         nC4=n_c4,
         nPaw=s_sum - 2 * mu2,
-        nC3L2=_exact_quotient((m + 3) * mu2 - kc_sum - s_sum, 3, "nC3L2"),
+        nC3L2=(m + 3) * n_c3 - s_sum,
     )
 
 
 def fast_census(g: Graph) -> CensusReport:
-    """The paper's general route: a sorted-list merge for every request."""
-    sums = _intersection_sums(g, bound_merge(g))
-    return reduce_census(g, *sums)
+    """The paper's general route: a sorted-list merge for every edge and wedge."""
+    return reduce_census(g, *_intersection_sums(g))
+
+
+def table_census(g: Graph) -> tuple[CensusReport, int]:
+    """The census from one sorted table of vertex pairs, and the number of
+    distinct pairs it names: the edges and the ends of every wedge.
+
+    Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
+    ``c_ab`` is the number of equal keys.  The table is built and sorted one
+    block of rows ``a`` at a time, about ``_TABLE_KEYS`` keys and edges
+    each, so no key spans two blocks.
+    """
+    n, indptr, indices, k = g.n, g.indptr, g.indices, g.degree_array
+    owner = np.repeat(np.arange(n), k)
+    # the half-edge keys owner·n + neighbour are sorted, and the ends b > a
+    # of the wedges a-x-b follow the half-edge x -> a in the row of x
+    past_a = np.searchsorted(owner * n + indices, indices * n + owner, side="right")
+    after = indptr[indices + 1] - past_a
+    row_start = np.concatenate(([0], np.cumsum(after + (owner < indices))))[indptr]
+    mu2 = s_twice = c4_scaled = pairs = 0
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(row_start, row_start[lo] + _TABLE_KEYS, "right")) - 1)
+        block = slice(indptr[lo], indptr[hi])
+        a, x, length = owner[block], indices[block], after[block]
+        # wedge i of the block ends at indices[i + shift], one shift per half-edge a -> x
+        at = np.repeat(past_a[block] + length - np.cumsum(length), length)
+        at += np.arange(len(at))
+        keys = np.repeat(a * n, length)
+        keys += indices[at]
+        del at
+        keys.sort()
+        c = np.diff(np.flatnonzero(np.diff(keys, prepend=-1)), append=len(keys))
+        c4_scaled += int((c * (c - 1)).sum())
+        edge = a < x
+        edge_keys = (a * n + x)[edge]
+        c_edge = np.searchsorted(keys, edge_keys, side="right") - np.searchsorted(keys, edge_keys)
+        mu2 += int(c_edge.sum())
+        s_twice += int(((k[a] + k[x])[edge] * c_edge).sum())
+        pairs += len(c) + int((c_edge == 0).sum())
+        lo = hi
+    return reduce_census(g, mu2, _exact_quotient(s_twice, 2, "s_sum"), c4_scaled), pairs
 
 
 def forest_census(g: Graph) -> CensusReport:
@@ -181,7 +212,7 @@ def forest_census(g: Graph) -> CensusReport:
     """
     if not g.is_forest():
         raise NotAForestError("graph contains a cycle")
-    return reduce_census(g, 0, 0, 0, 0)
+    return reduce_census(g, 0, 0, 0)
 
 
 def count_paths4(g: Graph) -> int:

@@ -8,8 +8,9 @@ Several routes compute the same exact rational value:
   frequencies of :func:`crossvar.frequencies.frequencies_from_census` and
   weighted by the layout's expectations.  The three share one census
   reduction and differ only in where neighbourhood intersections come
-  from: a merge per request, the same merge behind a pair cache, or none
-  at all on a forest.
+  from: a merge per edge and wedge, one sorted numpy table of vertex
+  pairs whose int64 block sums stay below 2^62 (see :mod:`crossvar.census`),
+  or none at all on a forest.
 * ``variance_rla_closed``: single closed form for the uniform random
   linear arrangement layout.
 """
@@ -21,11 +22,9 @@ from fractions import Fraction
 
 from .census import (
     CensusReport,
-    _intersection_sums,
-    bound_merge,
     fast_census,
     forest_census,
-    reduce_census,
+    table_census,
 )
 from .frequencies import (
     CONTRIBUTING_TYPES,
@@ -129,24 +128,15 @@ def variance_general(g: Graph, table: ExpectationTable | None = None) -> Varianc
 def variance_general_reuse(
     g: Graph, table: ExpectationTable | None = None
 ) -> VarianceResult:
-    """General-graph route caching neighborhood intersections.
+    """General-graph route reusing neighborhood intersections.
 
-    Intersections are keyed by the vertex pair; the census requests one per
-    edge and one per wedge, so on dense graphs, where many wedges share
-    their end points, the cache removes most of the merge work.
-    ``hash_table_size`` is the number of distinct pairs requested.
+    Every intersection is read from one sorted table of vertex pairs (see
+    :func:`crossvar.census.table_census`) instead of merged, so a pair
+    shared by many wedges is counted, not merged again.
+    ``hash_table_size`` is the number of distinct pairs in the table.
     """
-    cache: dict[tuple[int, int], tuple[int, int]] = {}
-    merge = bound_merge(g)
-
-    def inter(a: int, b: int) -> tuple[int, int]:
-        hit = cache.get((a, b))
-        if hit is None:
-            hit = cache[a, b] = merge(a, b)
-        return hit
-
-    c = reduce_census(g, *_intersection_sums(g, inter))
-    return _census_result(g, c, "reuse", table, hash_table_size=len(cache))
+    c, pairs = table_census(g)
+    return _census_result(g, c, "reuse", table, hash_table_size=pairs)
 
 
 def variance_forest(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:

@@ -126,6 +126,26 @@ class TestParseArrangement:
         with pytest.raises(ValidationError):
             parse_arrangement("0 one 2", path(3))
 
+    @pytest.mark.parametrize("order,named", [
+        ([0, 1, 1], "vertex 1 appears 2 times"),
+        ([2, 0], "vertex 1 appears 0 times"),
+        ([0, 1, 2, 3], "vertex 3 outside 0..2"),
+        ([0, -1, 2], "vertex -1 outside 0..2"),
+        ([0, 1.0, 2], "integer vertex ids"),
+    ])
+    def test_error_names_the_first_bad_vertex(self, order, named):
+        with pytest.raises(ValidationError, match=named):
+            count_crossings(path(3), order)
+
+    def test_error_on_a_large_order_stays_short(self):
+        n = 10**5
+        order = list(range(n))
+        order[n // 2] = 7
+        with pytest.raises(ValidationError) as info:
+            count_crossings(Graph(n, []), order)
+        assert len(str(info.value)) < 200
+        assert "vertex 7 appears 2 times" in str(info.value)
+
 
 class TestExhaustive:
     def test_two_disjoint_edges_is_bernoulli(self):

@@ -1,9 +1,12 @@
 """Fast single-pass census against the brute-force enumeration oracles."""
 
+from itertools import combinations
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossvar import brute
+from crossvar import brute, census
 from crossvar.census import (
     count_c3l2,
     count_cycles4,
@@ -11,9 +14,9 @@ from crossvar.census import (
     count_paths5,
     count_paw,
     fast_census,
-    merge_intersection,
 )
 from crossvar.generators import complete, cycle, erdos_renyi, path, star
+from crossvar.graph import Graph
 
 
 def er(n, p, seed):
@@ -26,9 +29,41 @@ class TestNeighborIntersection:
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 common = set(g.adjacency[u]) & set(g.adjacency[v])
-                assert merge_intersection(g, u, v) == (
-                    len(common), sum(g.degrees[w] for w in common)
-                )
+                assert census._merge(g.adjacency[u], g.adjacency[v]) == len(common)
+
+
+def _pairs(g):
+    """The edges and the end points of every wedge, as a set of pairs."""
+    wedge_ends = {pair for nbrs in g.adjacency for pair in combinations(nbrs, 2)}
+    return set(g.edges()) | wedge_ends
+
+
+class TestPairTable:
+    """The sorted pair table gives the merge route's census, and neither it
+    nor the table's pair count depends on how rows are split into blocks."""
+
+    @staticmethod
+    def _check(g, expected):
+        for keys in (1, 1 << 30):
+            with mock.patch.object(census, "_TABLE_KEYS", keys):
+                assert census.table_census(g) == expected, keys
+        assert census.table_census(g) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 14), st.floats(0, 1), st.integers(0, 10_000))
+    def test_random_graphs(self, n, p, seed):
+        g = er(n, p, seed)
+        self._check(g, (fast_census(g), len(_pairs(g))))
+
+    def test_star_with_one_leaf_edge(self):
+        leaves = 3000
+        g = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)] + [(1, 2)])
+        c, pairs = census.table_census(g)
+        # one triangle 0-1-2, whose corner degrees add up to leaves + 4; every
+        # pair of leaves ends a wedge, and the hub edges are pairs of their own
+        assert (c.mu2, c.nPaw + 2 * c.mu2, c.nC4) == (3, leaves + 4, 0)
+        assert pairs == leaves * (leaves - 1) // 2 + leaves
+        self._check(g, (c, pairs))
 
 
 class TestCountsAgainstBrute:
