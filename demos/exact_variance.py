@@ -41,7 +41,7 @@ def main():
     for label, r in [
         ("naive (classify all pairs of edge pairs)", variance_naive(g)),
         ("general (single edge pass)", variance_general(g)),
-        ("general + sorted pair table", variance_general_reuse(g)),
+        ("general + pair table", variance_general_reuse(g)),
         ("closed form", variance_rla_closed(g)),
     ]:
         print(f"  {label:<42} -> {r.variance}")

@@ -1,16 +1,19 @@
 """Brute-force oracles: Q enumeration, pattern counting, exhaustive census,
-pair-by-pair crossing counts.
+pair-by-pair crossing counts, and the random linear arrangement's layout
+constants.
 
 Everything here is deliberately independent of the fast edge-traversal
-forms in :mod:`crossvar.census` and of the crossing merge count in
-:mod:`crossvar.arrangements`: counts come from explicit enumeration of
-edge pairs, walks and vertex subsets, plus naive adjacency-matrix powers
-as an extra cross-check.
+forms in :mod:`crossvar.census`, of the crossing merge count in
+:mod:`crossvar.arrangements` and of the typed constants of
+:func:`crossvar.frequencies.builtin_rla_table`: counts come from explicit
+enumeration of edge pairs, walks, vertex subsets and vertex orders, plus
+naive adjacency-matrix powers as an extra cross-check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 from .arrangements import validate_arrangement
 from .census import CensusReport
@@ -55,6 +58,59 @@ def count_crossings_brute(g: Graph, order) -> int:
             if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
                 crossings += 1
     return crossings
+
+
+#: the independent-edge pair that every representative below is paired with
+_RLA_BASE = ((0, 1), (2, 3))
+
+#: for each product type, an independent-edge pair on at most 8 vertices
+#: that forms a pair of that type with ``_RLA_BASE``
+RLA_REPRESENTATIVES = {
+    "24": ((0, 1), (2, 3)),
+    "13": ((0, 1), (2, 4)),
+    "12": ((0, 1), (4, 5)),
+    "04": ((0, 2), (1, 3)),
+    "03": ((0, 2), (1, 4)),
+    "021": ((0, 4), (1, 5)),
+    "022": ((0, 4), (2, 5)),
+    "01": ((0, 4), (5, 6)),
+    "00": ((4, 5), (6, 7)),
+}
+
+
+def rla_table_brute() -> tuple[Fraction, dict[str, Fraction]]:
+    """``(delta, gamma)`` of the uniformly random linear arrangement, by
+    enumerating every order of a few vertices.
+
+    ``delta`` is the probability that one independent edge pair crosses,
+    and ``gamma[code]`` the covariance of the crossing indicators of
+    ``_RLA_BASE`` and the type's representative.  Both are exact averages
+    over all ``v!`` orders of the ``v <= 8`` vertices the two pairs use;
+    every order gives each vertex a distinct position, and all are equally
+    likely.
+    """
+
+    def crosses(pos, pair):
+        (s, t), (u, v) = pair
+        a1, b1 = sorted((pos[s], pos[t]))
+        a2, b2 = sorted((pos[u], pos[v]))
+        return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+
+    deltas, gamma = set(), {}
+    for code, pair in RLA_REPRESENTATIVES.items():
+        size = 1 + max(max(e) for e in _RLA_BASE + pair)
+        orders = hits = both = 0
+        for pos in permutations(range(size)):
+            orders += 1
+            if crosses(pos, _RLA_BASE):
+                hits += 1
+                both += crosses(pos, pair)
+        delta = Fraction(hits, orders)
+        deltas.add(delta)
+        gamma[code] = Fraction(both, orders) - delta * delta
+    if len(deltas) != 1:
+        raise InternalInconsistencyError(f"crossing probability differs by vertex count: {deltas}")
+    return deltas.pop(), gamma
 
 
 def count_simple_paths(g: Graph, length: int) -> int:

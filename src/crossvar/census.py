@@ -15,12 +15,14 @@ vertices:
 :func:`crossvar.graph.degree_aggregates` into the census.  The routes
 differ only in where the intersections come from: :func:`fast_census`
 merges two sorted adjacency lists for every edge and every wedge
-``a-x-b``, :func:`table_census` counts equal keys in one sorted table of
-vertex pairs, and :func:`forest_census` requests none, because all three
-sums vanish on an acyclic graph.  The table is sorted in blocks of whole
-rows; a block of ``K`` entries has int64 sums of at most ``2n·K``, below
-2^62 for any block that fits in memory (``n <= 2^25``, ``K < 2^36``), and
-the blocks are added up as Python ints.  Each count has a brute-force
+``a-x-b``, :func:`table_census` counts equal keys in one table of vertex
+pairs, and :func:`forest_census` requests none, because all three sums
+vanish on an acyclic graph.  The table is built in blocks of whole rows.
+A block counts its equal keys with one ``bincount`` when its key span is
+no larger than its number of keys, and by sorting them otherwise.  A
+block of ``K`` entries has int64 sums of at most ``2n·K``, below 2^62 for
+any block that fits in memory (``n <= 2^25``, ``K < 2^36``), and the
+blocks are added up as Python ints.  Each count has a brute-force
 counterpart in :mod:`crossvar.brute` that serves as its oracle.
 """
 
@@ -163,14 +165,39 @@ def fast_census(g: Graph) -> CensusReport:
     return reduce_census(g, *_intersection_sums(g))
 
 
+def _key_counts(
+    keys: np.ndarray, edge_keys: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, c_edge)``: how often each distinct key of ``keys`` occurs, and
+    how often each of ``edge_keys`` does (0 if never), for keys in
+    ``[0, span)``.
+
+    A block whose span is no larger than its number of keys counts them
+    into ``span`` bins with one ``bincount``, Gustavson's dense
+    accumulator, so the bins never outgrow the keys.  A sparser block sorts
+    its keys in place and reads off the runs of equal keys.
+    """
+    if span <= len(keys):
+        bins = np.bincount(keys, minlength=span)
+        return bins[bins > 0], bins[edge_keys]
+    keys.sort()
+    c = np.diff(np.flatnonzero(np.diff(keys, prepend=-1)), append=len(keys))
+    return c, np.searchsorted(keys, edge_keys, side="right") - np.searchsorted(keys, edge_keys)
+
+
 def table_census(g: Graph) -> tuple[CensusReport, int]:
-    """The census from one sorted table of vertex pairs, and the number of
+    """The census from one table of vertex pairs, and the number of
     distinct pairs it names: the edges and the ends of every wedge.
 
     Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
-    ``c_ab`` is the number of equal keys.  The table is built and sorted one
-    block of rows ``a`` at a time, about ``_TABLE_KEYS`` keys and edges
-    each, so no key spans two blocks.
+    ``c_ab`` is the number of equal keys.  The table is built one block of
+    rows ``lo <= a < hi`` at a time, about ``_TABLE_KEYS`` keys and edges
+    each, so no key spans two blocks.  Keys are stored relative to the
+    block, as ``(a - lo)·n + b``, below the block's span ``(hi - lo)·n``.
+    A block whose span is no larger than its number of keys counts them
+    with one ``bincount`` over the span; any other block sorts its keys
+    (see :func:`_key_counts`).  Either way a block's int64 sums stay below
+    ``2n·K`` for its ``K`` entries.
     """
     n, indptr, indices, k = g.n, g.indptr, g.indices, g.degree_array
     owner = np.repeat(np.arange(n), k)
@@ -188,15 +215,13 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
         # wedge i of the block ends at indices[i + shift], one shift per half-edge a -> x
         at = np.repeat(past_a[block] + length - np.cumsum(length), length)
         at += np.arange(len(at))
-        keys = np.repeat(a * n, length)
+        keys = np.repeat((a - lo) * n, length)
         keys += indices[at]
         del at
-        keys.sort()
-        c = np.diff(np.flatnonzero(np.diff(keys, prepend=-1)), append=len(keys))
-        c4_scaled += int((c * (c - 1)).sum())
         edge = a < x
-        edge_keys = (a * n + x)[edge]
-        c_edge = np.searchsorted(keys, edge_keys, side="right") - np.searchsorted(keys, edge_keys)
+        edge_keys = ((a - lo) * n + x)[edge]
+        c, c_edge = _key_counts(keys, edge_keys, (hi - lo) * n)
+        c4_scaled += int((c * (c - 1)).sum())
         mu2 += int(c_edge.sum())
         s_twice += int(((k[a] + k[x])[edge] * c_edge).sum())
         pairs += len(c) + int((c_edge == 0).sum())

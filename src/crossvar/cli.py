@@ -29,6 +29,7 @@ from .errors import (
     CrossvarError,
     DegenerateStatisticsError,
     NotAForestError,
+    ValidationError,
 )
 from .frequencies import builtin_rla_table, load_layout_table
 from .generators import erdos_renyi
@@ -106,6 +107,12 @@ def cmd_zscore(args) -> int:
     else:
         observed = args.observed
     result = compute_variance(g, table=table)
+    if not 0 <= observed <= result.q:
+        # each crossing is one pair of independent edges
+        raise ValidationError(
+            f"observed crossing count {observed} is impossible: it must lie"
+            f" in 0..q = {result.q}, the number of independent edge pairs"
+        )
     z = zscore(observed, result.expectation, result.variance)
     bounds = {
         side: chebyshev_pvalue_bound(observed, result.expectation, result.variance, side)

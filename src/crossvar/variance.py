@@ -8,9 +8,11 @@ Several routes compute the same exact rational value:
   frequencies of :func:`crossvar.frequencies.frequencies_from_census` and
   weighted by the layout's expectations.  The three share one census
   reduction and differ only in where neighbourhood intersections come
-  from: a merge per edge and wedge, one sorted numpy table of vertex
-  pairs whose int64 block sums stay below 2^62 (see :mod:`crossvar.census`),
-  or none at all on a forest.
+  from: a merge per edge and wedge, one numpy table of vertex pairs, or
+  none at all on a forest.  The table counts equal keys block by block,
+  with one ``bincount`` where a block's key span is no larger than its
+  number of keys and by sorting elsewhere; its int64 block sums stay below
+  2^62 (see :mod:`crossvar.census`).
 * ``variance_rla_closed``: single closed form for the uniform random
   linear arrangement layout.
 """
@@ -130,7 +132,7 @@ def variance_general_reuse(
 ) -> VarianceResult:
     """General-graph route reusing neighborhood intersections.
 
-    Every intersection is read from one sorted table of vertex pairs (see
+    Every intersection is read from one table of vertex pairs (see
     :func:`crossvar.census.table_census`) instead of merged, so a pair
     shared by many wedges is counted, not merged again.
     ``hash_table_size`` is the number of distinct pairs in the table.

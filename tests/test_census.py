@@ -3,6 +3,7 @@
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,8 +40,9 @@ def _pairs(g):
 
 
 class TestPairTable:
-    """The sorted pair table gives the merge route's census, and neither it
-    nor the table's pair count depends on how rows are split into blocks."""
+    """The pair table gives the merge route's census, and neither it nor
+    the table's pair count depends on how rows are split into blocks or on
+    how each block counts its keys."""
 
     @staticmethod
     def _check(g, expected):
@@ -64,6 +66,42 @@ class TestPairTable:
         assert (c.mu2, c.nPaw + 2 * c.mu2, c.nC4) == (3, leaves + 4, 0)
         assert pairs == leaves * (leaves - 1) // 2 + leaves
         self._check(g, (c, pairs))
+
+    @staticmethod
+    def _sides(g, table_keys=census._TABLE_KEYS):
+        """``table_census(g)``, how many of its blocks count their keys with
+        ``bincount`` and how many sort them."""
+        with mock.patch.object(census, "_TABLE_KEYS", table_keys), \
+                mock.patch.object(census, "_key_counts", wraps=census._key_counts) as blocks, \
+                mock.patch.object(census.np, "bincount", wraps=np.bincount) as bincount:
+            result = census.table_census(g)
+        dense = sum(span <= len(keys) for (keys, _, span), _ in blocks.call_args_list)
+        assert bincount.call_count == dense
+        return result, dense, blocks.call_count - dense
+
+    def test_dense_graph_counts_by_bincount(self):
+        g = complete(40)
+        assert self._sides(g)[1:] == (1, 0)
+        self._check(g, (fast_census(g), len(_pairs(g))))
+
+    def test_sparse_graph_sorts(self):
+        # n is far larger than the block's few thousand keys
+        g = er(3000, 0.002, seed=5)
+        assert self._sides(g)[1:] == (0, 1)
+        self._check(g, (fast_census(g), len(_pairs(g))))
+
+    def test_one_call_takes_both_sides(self):
+        # small blocks: the clique's rows hold more keys than their span,
+        # the path's rows far fewer
+        clique, tail = 60, 300
+        edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
+        edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+        g = Graph(clique + tail, edges)
+        expected = (fast_census(g), len(_pairs(g)))
+        result, dense, sparse = self._sides(g, table_keys=1 << 12)
+        assert dense > 0 and sparse > 0
+        assert result == expected
+        self._check(g, expected)
 
 
 class TestCountsAgainstBrute:

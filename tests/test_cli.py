@@ -149,6 +149,16 @@ class TestZscore:
         payload = json.loads(capsys.readouterr().out)
         assert payload["observed"] == 1
 
+    @pytest.mark.parametrize("observed,code", [
+        ("-3", 2), ("-1", 2), ("0", 0), ("1", 0), ("2", 2), ("5", 2),
+    ])
+    def test_count_must_lie_in_0_to_q(self, tmp_path, capsys, observed, code):
+        # two disjoint edges: q = 1, so only 0 or 1 crossings can occur
+        path = tmp_path / "two.txt"
+        path.write_text("0 1\n2 3\n")
+        assert main(["zscore", str(path), "--observed", observed]) == code
+        assert ("impossible" in capsys.readouterr().err) == (code == 2)
+
     def test_zero_variance_exits_4(self, star_file):
         assert main(["zscore", star_file, "--observed", "0"]) == 4
 

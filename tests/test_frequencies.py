@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossvar import brute
 from crossvar.brute import independent_edge_pairs
 from crossvar.census import fast_census
 from crossvar.errors import ValidationError
@@ -111,6 +112,14 @@ class TestRlaTable:
         assert t.gamma["021"] == Fraction(-1, 90)
         assert t.gamma["022"] == Fraction(1, 180)
         assert t.gamma["00"] == 0 and t.gamma["01"] == 0
+
+    def test_derived_by_enumerating_orders(self):
+        t = builtin_rla_table()
+        for code, pair in brute.RLA_REPRESENTATIVES.items():
+            assert classify_pair(brute._RLA_BASE, pair) == code
+        delta, gamma = brute.rla_table_brute()
+        assert delta == t.delta
+        assert gamma == dict(t.gamma)
 
     def test_gamma_is_probability_minus_delta_squared(self):
         # crossing-product probabilities of the nine types
