@@ -24,8 +24,10 @@ tells how many right values lie above them.  Sorting the blocks makes a
 count O(m log² m) time and O(n + m) memory.  One numpy kernel runs it,
 vectorised across edges and arrangements at once: ``count_crossings``
 on one row, Monte Carlo and exhaustive enumeration on chunks of rows.
-The pair-by-pair count is kept as the oracle
-:func:`crossvar.brute.count_crossings_brute`.
+Positions, right ends and merge keys are int32, as every key is below
+``2n <= 2^26``, and each chunk's working set stays near ``_SWEEP_BYTES``
+= 2 MiB, so that it fits a core's L2 cache.  The pair-by-pair count is
+kept as the oracle :func:`crossvar.brute.count_crossings_brute`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .graph import Graph
 
 EXHAUSTIVE_LIMIT = 9
 # working set of one row chunk in the batch crossing count
-_SWEEP_BYTES = 1 << 23
+_SWEEP_BYTES = 1 << 21
 # edges per leaf block of the merge count, whose pairs are compared directly
 _LEAF = 8
 
@@ -60,8 +62,15 @@ def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[
     first vertex that is missing or repeated, never the whole order.
     """
     order = tuple(order)
+    _arrangement_ids(g, order)
+    return order
+
+
+def _arrangement_ids(g: Graph, order) -> np.ndarray:
+    """``order`` as an int64 array, checked as :func:`validate_arrangement`
+    describes."""
     try:
-        ids = np.fromiter(map(operator.index, order), dtype=np.int64, count=len(order))
+        ids = np.fromiter(map(operator.index, order), dtype=np.int64)
     except (TypeError, OverflowError):
         raise ValidationError("arrangement must list integer vertex ids") from None
     outside = (ids < 0) | (ids >= g.n)
@@ -76,7 +85,7 @@ def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[
             f"arrangement must be a permutation of 0..{g.n - 1}, "
             f"but vertex {v} appears {times[v]} times"
         )
-    return order
+    return ids
 
 
 def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
@@ -99,19 +108,23 @@ def count_crossings(g: Graph, order) -> int:
     The batch count of the module docstring on one row: O(m log² m) time,
     O(n + m) memory.
     """
-    order = validate_arrangement(g, order)
-    pos = np.argsort(np.array(order, dtype=np.int64))[None, :]
+    ids = _arrangement_ids(g, order)
+    pos = np.empty((1, g.n), dtype=np.int32)
+    pos[0, ids] = np.arange(g.n, dtype=np.int32)
     return int(_positions_to_crossings(g, pos)[0])
 
 
 def _chunk_rows(g: Graph) -> int:
     """Rows per chunk of the batch crossing count, so that one chunk's
     working set stays near ``_SWEEP_BYTES``."""
-    # a row of positions beside _merge_count at its widest: six int64
-    # values per edge and two per vertex while right ends are counted, and
-    # no more while merging, as a row pads to fewer than 2m edges; 64 more
-    # cover small fixed arrays
-    row_bytes = 8 * (3 * g.n + 6 * g.m + 64)
+    # a row of int32 positions (4 bytes per vertex) beside _merge_count at
+    # its widest: while ends are counted, the int32 ends lo and hi and the
+    # int64 offset ends a bincount reads (16 bytes per edge) and two int64
+    # histograms (16 bytes per vertex); while merging, 9 bytes per padded
+    # key (the int32 keys, a copy of them and a boolean compare, or the keys
+    # and their low bits), and a row pads to fewer than 2m keys; 64 more
+    # bytes cover small fixed arrays
+    row_bytes = 20 * g.n + 18 * g.m + 64
     return max(1, _SWEEP_BYTES // row_bytes)
 
 
@@ -128,53 +141,74 @@ def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
         return out
     step = _chunk_rows(g)
     for start in range(0, rows, step):
-        out[start:start + step] = _merge_count(g.edge_u, g.edge_v, pos[start:start + step])
+        chunk = pos[start:start + step].astype(np.int32, copy=False)
+        out[start:start + step] = _merge_count(g.edge_u, g.edge_v, chunk)
     return out
 
 
 def _merge_count(eu: np.ndarray, ev: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The module docstring's count for the edges ``(eu[i], ev[i])``,
-    vectorised across rows and edges."""
+    vectorised across rows and edges; ``pos`` holds int32 positions."""
     rows, n = pos.shape
     m = len(eu)
-    a = pos[:, eu]
-    b = pos[:, ev]
+    a = pos.take(eu, axis=1)
+    b = pos.take(ev, axis=1)
     lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    # pairs with hi_i <= lo_j, from a cumulative histogram of right ends
-    shifted = hi + np.arange(rows, dtype=np.int64)[:, None] * n
-    ended = np.bincount(shifted.ravel(), minlength=rows * n).reshape(rows, n).cumsum(axis=1)
-    total = -np.take_along_axis(ended, lo, axis=1).sum(axis=1)
-    del a, b, shifted, ended
+    hi = np.maximum(a, b, out=a)
+    del a, b
+    # pairs with hi_i <= lo_j: the histogram of left ends against the
+    # cumulative histogram of right ends, one bincount each over all rows
+    offset = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+    started = np.bincount((lo + offset).ravel(), minlength=rows * n).reshape(rows, n)
+    ended = np.bincount((hi + offset).ravel(), minlength=rows * n).reshape(rows, n)
+    np.cumsum(ended, axis=1, out=ended)
+    total = -np.einsum("ij,ij->i", started, ended)
+    del started, ended
     # each row's right ends in (lo ascending, hi descending) order, padded
-    # with zeros to _LEAF·2^k: 0 < hi < n, so the sorted keys lo·n − hi give
-    # hi back as their residue mod n, and the zeros come last and are below
-    # every hi, so they add no pair
+    # with zeros to _LEAF·2^k: 0 < hi < n <= 2^s, so the sorted keys
+    # lo·2^s − hi give hi back as their low s bits negated, and the zeros
+    # come last and are below every hi, so they add no pair.  The keys fit
+    # int32, and sort fastest there, while (n − 1)·2^s < 2^31; wider graphs
+    # sort them in int64
+    s = (n - 1).bit_length()
+    if (n - 1) << s >= 1 << 31:
+        lo = lo.astype(np.int64)
+    lo <<= s
+    lo -= hi
+    lo.sort(axis=1)
+    np.negative(lo, out=lo)
+    lo &= (1 << s) - 1
     width = _LEAF << ((m - 1) // _LEAF).bit_length()
-    keys = np.zeros((rows, width), dtype=np.int64)
-    keys[:, :m] = -np.sort(lo * n - hi, axis=1) % n
+    keys = np.zeros((rows, width), dtype=np.int32)
+    keys[:, :m] = lo
     del lo, hi
-    # pairs inside a leaf, compared directly
+    # pairs inside a leaf, compared directly: one shifted compare per
+    # distance d, on a copy whose [r, i, j] is place i of leaf j, so that
+    # each compare runs over contiguous memory
     leaves = keys.reshape(rows, -1, _LEAF)
-    later = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
-    total += ((leaves[..., :, None] < leaves[..., None, :]) & later).sum(axis=(1, 2, 3))
+    across = np.ascontiguousarray(leaves.transpose(0, 2, 1))
+    for d in range(1, _LEAF):
+        total += np.count_nonzero(across[:, :-d] < across[:, d:], axis=(1, 2))
+    del across
     # pairs across the two sorted halves of each block, level by level: the
     # keys are 2·hi, with the low bit set in the left half, so after sorting
     # a block a left value precedes exactly the right values above it
     leaves.sort(axis=-1)
     keys <<= 1
+    left = np.empty_like(keys)
     half = _LEAF
     while half < width:
         pairs = keys.reshape(rows, -1, 2, half)
         pairs[:, :, 0] |= 1
         pairs.reshape(rows, -1, 2 * half).sort(axis=-1)
-        left = keys & 1
         # a left value at place p of its block precedes 2·half − 1 − p
         # values, half − 1 − (its rank among the left ones) of them left, so
         # a block holds half·(3·half − 1)/2 − Σ_left p such pairs
-        place = np.arange(width, dtype=np.int64) % (2 * half)
-        total += width // (2 * half) * (half * (3 * half - 1) // 2) - left @ place
-        keys ^= left
+        np.bitwise_and(keys, 1, out=left)
+        left *= np.arange(width, dtype=np.int32) % (2 * half)
+        total += width // (2 * half) * (half * (3 * half - 1) // 2)
+        total -= left.sum(axis=1, dtype=np.int64)
+        keys &= -2
         half *= 2
     return total
 
@@ -210,7 +244,7 @@ def exhaustive_distribution(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> ExactDis
             block = list(islice(perm_iter, step))
             if not block:
                 break
-            values = _positions_to_crossings(g, np.array(block, dtype=np.int64))
+            values = _positions_to_crossings(g, np.array(block, dtype=np.int32))
             for value, count in zip(*np.unique(values, return_counts=True)):
                 counts[int(value)] = counts.get(int(value), 0) + int(count)
     if sum(counts.values()) != total:
@@ -246,13 +280,13 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
         raise ValidationError("need at least 2 samples for a variance estimate")
     rng = np.random.default_rng(seed)
     values = np.empty(samples, dtype=np.int64)
-    base = np.arange(g.n, dtype=np.int64)
+    base = np.arange(g.n, dtype=np.int32)
     step = _chunk_rows(g)
     done = 0
     while done < samples:
         b = min(step, samples - done)
         pos = np.tile(base, (b, 1))
-        pos = rng.permuted(pos, axis=1)
+        rng.permuted(pos, axis=1, out=pos)
         values[done:done + b] = _positions_to_crossings(g, pos)
         done += b
     return MonteCarloResult(

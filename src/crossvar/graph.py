@@ -186,27 +186,37 @@ def _acyclic(g: Graph) -> bool:
 
 
 def _components(g: Graph) -> int:
-    """Connected components by hooking and pointer jumping.
+    """Connected components by hooking, pointer jumping and contraction.
 
-    Each round jumps every vertex to its root, drops the edges inside one
-    component and hooks each root that still has such an edge onto the
-    smallest root across one.  Roots only ever point to smaller labels, so
-    there is no cycle, and every round merges at least two components.
+    Each round hooks every vertex onto its smallest neighbour below it and
+    jumps every vertex to its root; roots only ever point to smaller
+    labels, so there is no cycle.  The edges are then moved onto their
+    roots and those inside one component dropped.  A root left with no
+    edge is a finished component; the others are renumbered ``0..k-1`` and
+    the next round runs on that contracted graph, which has fewer vertices,
+    as every vertex with an edge either hooks or is hooked onto.
     """
-    parent = np.arange(g.n)
-    u, v = g.edge_u, g.edge_v
-    while True:
+    n, u, v = g.n, g.edge_u, g.edge_v
+    finished = 0
+    while len(u):
+        parent = np.arange(n)
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
-        ru, rv = parent[u], parent[v]
-        across = ru != rv
-        if not across.any():
-            return int(np.count_nonzero(parent == np.arange(g.n)))
-        u, v, ru, rv = u[across], v[across], ru[across], rv[across]
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        u, v = parent[u], parent[v]
+        across = u != v
+        u, v = u[across], v[across]
+        live = np.zeros(n, dtype=bool)
+        live[u] = True
+        live[v] = True
+        k = int(np.count_nonzero(live))
+        finished += int(np.count_nonzero(parent == np.arange(n))) - k
+        label = np.cumsum(live) - 1
+        n, u, v = k, label[u], label[v]
+    return finished + n
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,20 @@ class TestCountCrossings:
             rnd.shuffle(order)
             assert count_crossings(g, order) == count_crossings_brute(g, order)
 
+    @pytest.mark.parametrize("n", [2**15, 2**15 + 1, 2**16])
+    def test_matches_oracle_on_either_side_of_the_int32_sort_key(self, n):
+        # the row sort keys lo·2^s − hi fit int32 up to n = 2^15 and are
+        # sorted in int64 above it; 40 edges among 60 vertices spread over
+        # 0..n−1 put large positions into the keys
+        rnd = random.Random(n)
+        ends = rnd.sample(range(n), 60)
+        g = Graph(n, rnd.sample([(a, b) for a, b in combinations(ends, 2)], 40))
+        orders = [rnd.sample(range(n), n) for _ in range(4)]
+        expected = [count_crossings_brute(g, o) for o in orders]
+        assert [count_crossings(g, o) for o in orders] == expected
+        pos = np.argsort(np.array(orders), axis=1)
+        assert arrangements._positions_to_crossings(g, pos).tolist() == expected
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_batch_sweep_matches_oracle_row_by_row(self, data):

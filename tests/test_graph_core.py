@@ -70,6 +70,7 @@ class TestArrays:
 
 
 def _acyclic_by_union_find(n, edges):
+    """Whether the graph has no cycle, and its number of components."""
     parent = list(range(n))
 
     def find(x):
@@ -77,12 +78,31 @@ def _acyclic_by_union_find(n, edges):
             x = parent[x]
         return x
 
+    acyclic, components = True, n
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+            acyclic = False
+        else:
+            parent[ru] = rv
+            components -= 1
+    return acyclic, components
+
+
+@st.composite
+def several_components(draw):
+    """Random graphs on disjoint blocks of vertices, some of them single
+    isolated vertices, with the labels shuffled across the blocks."""
+    n, edges = 0, []
+    for size in draw(st.lists(st.integers(1, 8), min_size=1, max_size=6)):
+        if size > 1:
+            # an end a and a distance d to the other end, taken around the block
+            pair = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1))
+            edges += [(n + a, n + (a + d) % size)
+                      for a, d in draw(st.lists(pair, max_size=2 * size))]
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in edges]
 
 
 class TestForest:
@@ -90,7 +110,15 @@ class TestForest:
     def test_matches_union_find(self, data):
         n, edges = data
         g = Graph(n, edges)
-        assert g.is_forest() is _acyclic_by_union_find(n, list(g.edges()))
+        assert g.is_forest() is _acyclic_by_union_find(n, list(g.edges()))[0]
+
+    @given(several_components())
+    def test_components_match_union_find(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        acyclic, components = _acyclic_by_union_find(n, list(g.edges()))
+        assert graph._components(g) == components
+        assert g.is_forest() is acyclic
 
     @pytest.mark.parametrize("make", [
         lambda: star(500),
