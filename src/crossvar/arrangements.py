@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
@@ -95,10 +96,14 @@ def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
         line = raw.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.split())
-    try:
-        order = [int(tok) for tok in tokens]
-    except ValueError:
-        raise ValidationError(f"non-integer vertex id in arrangement") from None
+    order = []
+    for tok in tokens:
+        try:
+            order.append(int(tok))
+        except ValueError:
+            raise ValidationError(
+                f"non-integer vertex id {reprlib.repr(tok)} in arrangement"
+            ) from None
     return validate_arrangement(g, order)
 
 

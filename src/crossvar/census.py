@@ -17,13 +17,17 @@ differ only in where the intersections come from: :func:`fast_census`
 merges two sorted adjacency lists for every edge and every wedge
 ``a-x-b``, :func:`table_census` counts equal keys in one table of vertex
 pairs, and :func:`forest_census` requests none, because all three sums
-vanish on an acyclic graph.  The table is built in blocks of whole rows.
-A block counts its equal keys with one ``bincount`` when its key span is
-no larger than its number of keys, and by sorting them otherwise.  A
-block of ``K`` entries has int64 sums of at most ``2n·K``, below 2^62 for
-any block that fits in memory (``n <= 2^25``, ``K < 2^36``), and the
-blocks are added up as Python ints.  Each count has a brute-force
-counterpart in :mod:`crossvar.brute` that serves as its oracle.
+vanish on an acyclic graph.  The table is read in blocks of whole rows,
+and each block takes one of three sides from its own shape.  A dense
+block reads every ``c_ab`` as the bits two packed adjacency rows share,
+without listing a key; any other block lists its keys and counts equal
+ones with one ``bincount`` when its key span is no larger than its number
+of keys, and by sorting them otherwise.  Each ``c_ab <= n`` and the
+``c_ab`` of a block of ``K`` keys add up to ``K``, so its int64 sums stay
+below ``2n·K``, below 2^62 for any graph that fits in memory (``n <=
+2^25``, ``m < 2^35``), and the blocks are added up as Python ints.  Each
+count has a brute-force counterpart in :mod:`crossvar.brute` that serves
+as its oracle.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ import numpy as np
 from .errors import InternalInconsistencyError, NotAForestError
 from .graph import Graph, degree_aggregates
 
-#: entries per block of the pair table: a block has at most six int64
-#: arrays of its length alive at once, so its working set stays under 4 MiB
+#: entries per block of the pair table that lists its keys, and vertex
+#: pairs per block that reads them from bitsets.  A listed block has at
+#: most six int64 arrays of its length alive at once; a bitset block has an
+#: int32 count, a uint64 word and its uint8 bit count per pair, later a
+#: copy of the counts and a mask.  Either working set stays under 4 MiB.
 _TABLE_KEYS = 1 << 16
 
 
@@ -172,10 +179,12 @@ def _key_counts(
     how often each of ``edge_keys`` does (0 if never), for keys in
     ``[0, span)``.
 
-    A block whose span is no larger than its number of keys counts them
-    into ``span`` bins with one ``bincount``, Gustavson's dense
-    accumulator, so the bins never outgrow the keys.  A sparser block sorts
-    its keys in place and reads off the runs of equal keys.
+    These are the two sides of a block that lists its keys; a denser block
+    reads its pairs from bitsets instead (:func:`table_census`).  A block
+    whose span is no larger than its number of keys counts them into
+    ``span`` bins with one ``bincount``, Gustavson's dense accumulator, so
+    the bins never outgrow the keys.  A sparser block sorts its keys in
+    place and reads off the runs of equal keys.
     """
     if span <= len(keys):
         bins = np.bincount(keys, minlength=span)
@@ -185,42 +194,101 @@ def _key_counts(
     return c, np.searchsorted(keys, edge_keys, side="right") - np.searchsorted(keys, edge_keys)
 
 
+def _bitsets(n: int, owner: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each adjacency row packed into ``w = ⌈n/64⌉`` uint64 words: bit
+    ``b % 64`` of word ``b // 64`` is set for each neighbour ``b``."""
+    words = -(-n // 64)
+    # a row lists its neighbours in order, so the half-edges of one word are adjacent
+    at = owner * words + (indices >> 6)
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    bits = np.zeros(n * words, dtype=np.uint64)
+    bits[at[first]] = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64)), first
+    )
+    return bits.reshape(n, words)
+
+
+def _bitset_counts(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``c_ab`` for the rows ``lo <= a < hi`` and the columns ``b >= lo`` of
+    the packed rows ``bits``, as a ``(hi - lo) × (n - lo)`` int32 matrix:
+    the bits ``row_a & row_b`` share, added up one word at a time."""
+    counts = np.zeros((hi - lo, len(bits) - lo), dtype=np.int32)
+    for j in range(bits.shape[1]):
+        counts += np.bitwise_count(bits[lo:hi, j, None] & bits[None, lo:, j])
+    return counts
+
+
 def table_census(g: Graph) -> tuple[CensusReport, int]:
     """The census from one table of vertex pairs, and the number of
     distinct pairs it names: the edges and the ends of every wedge.
 
     Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
-    ``c_ab`` is the number of equal keys.  The table is built one block of
-    rows ``lo <= a < hi`` at a time, about ``_TABLE_KEYS`` keys and edges
-    each, so no key spans two blocks.  Keys are stored relative to the
-    block, as ``(a - lo)·n + b``, below the block's span ``(hi - lo)·n``.
-    A block whose span is no larger than its number of keys counts them
-    with one ``bincount`` over the span; any other block sorts its keys
-    (see :func:`_key_counts`).  Either way a block's int64 sums stay below
-    ``2n·K`` for its ``K`` entries.
+    ``c_ab`` is the number of equal keys.  The table is read one block of
+    rows ``lo <= a < hi`` at a time, and each block takes one of three
+    sides from its own shape, with ``K`` its number of keys and ``w =
+    ⌈n/64⌉``:
+
+    * bitset, when ``(hi - lo)·n·w <= K``: one word operation per pair
+      ``a, b`` and 64 columns costs no more than listing the keys.  The
+      block covers about ``_TABLE_KEYS`` pairs ``a, b`` and reads every
+      ``c_ab`` as the bits two packed adjacency rows share
+      (:func:`_bitset_counts`), without building a key.
+    * bincount or sort, otherwise: the block lists about ``_TABLE_KEYS``
+      keys and edges, stored relative to the block as ``(a - lo)·n + b``
+      below its span ``(hi - lo)·n``, and counts them with one
+      ``bincount`` over the span if the span is no larger than ``K``, or
+      by sorting them (see :func:`_key_counts`).
+
+    No key spans two blocks.  Every side adds, for its block, ``c_ab (c_ab
+    - 1)`` over the pairs and ``c_ab`` and ``(k_a + k_b) c_ab`` over the
+    edges.  Each ``c_ab <= n`` and the ``c_ab`` of a block add up to its
+    ``K``, so its int64 sums stay below ``2n·K``.  A listed block holds its
+    keys, so ``K < 2^36``; a bitset block of ``r`` rows has ``K <= 2m·r``
+    and ``r·n <= max(n, _TABLE_KEYS)``, so ``2n·K <= 4·max(n, 2^16)·m``.
+    Both are below 2^62 for ``n <= 2^25`` and ``m < 2^35``, and the block
+    sums are added up as Python ints.
     """
     n, indptr, indices, k = g.n, g.indptr, g.indices, g.degree_array
     owner = np.repeat(np.arange(n), k)
-    # the half-edge keys owner·n + neighbour are sorted, and the ends b > a
-    # of the wedges a-x-b follow the half-edge x -> a in the row of x
-    past_a = np.searchsorted(owner * n + indices, indices * n + owner, side="right")
-    after = indptr[indices + 1] - past_a
-    row_start = np.concatenate(([0], np.cumsum(after + (owner < indices))))[indptr]
+    # the ends b > a of the wedges a-x-b are the neighbours of x past a; a
+    # row's keys add up to at most 2m, exact in the float64 bincount
+    ahead = indptr[owner + 1] - 1 - np.arange(len(indices))
+    keys_to = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, weights=ahead, minlength=n).astype(np.int64), out=keys_to[1:])
+    entries_to = keys_to + np.concatenate(([0], np.cumsum(owner < indices)))[indptr]
+    words, rows = -(-n // 64), max(1, _TABLE_KEYS // max(n, 1))
+    bits = half_keys = None
     mu2 = s_twice = c4_scaled = pairs = 0
     lo = 0
     while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(row_start, row_start[lo] + _TABLE_KEYS, "right")) - 1)
+        hi = min(n, lo + rows)
+        bitset = (hi - lo) * n * words <= keys_to[hi] - keys_to[lo]
+        if not bitset:
+            hi = max(lo + 1, int(np.searchsorted(entries_to, entries_to[lo] + _TABLE_KEYS, "right")) - 1)
         block = slice(indptr[lo], indptr[hi])
-        a, x, length = owner[block], indices[block], after[block]
-        # wedge i of the block ends at indices[i + shift], one shift per half-edge a -> x
-        at = np.repeat(past_a[block] + length - np.cumsum(length), length)
-        at += np.arange(len(at))
-        keys = np.repeat((a - lo) * n, length)
-        keys += indices[at]
-        del at
+        a, x = owner[block], indices[block]
         edge = a < x
-        edge_keys = ((a - lo) * n + x)[edge]
-        c, c_edge = _key_counts(keys, edge_keys, (hi - lo) * n)
+        if bitset:
+            if bits is None:
+                # n·w <= K / (hi - lo) <= 2m words: no larger than the half-edges
+                bits = _bitsets(n, owner, indices)
+            counts = _bitset_counts(bits, lo, hi)
+            c_edge = counts[a[edge] - lo, x[edge] - lo]
+            counts = np.triu(counts, 1)
+            c = counts[counts > 0].astype(np.int64)
+        else:
+            if half_keys is None:
+                half_keys = owner * n + indices
+            # the half-edge keys owner·n + neighbour are sorted, and the wedges
+            # a-x-b of the half-edge a -> x end past a in the row of x
+            length = indptr[x + 1] - np.searchsorted(half_keys, x * n + a, side="right")
+            # wedge i of the block ends at indices[i + shift], one shift per half-edge a -> x
+            at = np.repeat(indptr[x + 1] - np.cumsum(length), length)
+            at += np.arange(len(at))
+            keys = np.repeat((a - lo) * n, length)
+            keys += indices[at]
+            del at
+            c, c_edge = _key_counts(keys, ((a - lo) * n + x)[edge], (hi - lo) * n)
         c4_scaled += int((c * (c - 1)).sum())
         mu2 += int(c_edge.sum())
         s_twice += int(((k[a] + k[x])[edge] * c_edge).sum())

@@ -137,8 +137,17 @@ class TestParseArrangement:
         assert parse_arrangement("2 0 3 1\n# done\n", g) == (2, 0, 3, 1)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="vertex id 'one' in"):
             parse_arrangement("0 one 2", path(3))
+
+    def test_error_on_a_large_order_names_a_short_token(self):
+        n = 10**5
+        tokens = [str(v) for v in range(n)]
+        tokens[n // 2] = "x" * n
+        with pytest.raises(ValidationError) as info:
+            parse_arrangement(" ".join(tokens), Graph(n, []))
+        assert len(str(info.value)) < 200
+        assert "vertex id 'xxxx" in str(info.value)
 
     @pytest.mark.parametrize("order,named", [
         ([0, 1, 1], "vertex 1 appears 2 times"),

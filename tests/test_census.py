@@ -69,39 +69,63 @@ class TestPairTable:
 
     @staticmethod
     def _sides(g, table_keys=census._TABLE_KEYS):
-        """``table_census(g)``, how many of its blocks count their keys with
-        ``bincount`` and how many sort them."""
-        with mock.patch.object(census, "_TABLE_KEYS", table_keys), \
-                mock.patch.object(census, "_key_counts", wraps=census._key_counts) as blocks, \
-                mock.patch.object(census.np, "bincount", wraps=np.bincount) as bincount:
-            result = census.table_census(g)
-        dense = sum(span <= len(keys) for (keys, _, span), _ in blocks.call_args_list)
-        assert bincount.call_count == dense
-        return result, dense, blocks.call_count - dense
+        """``table_census(g)`` and how many of its blocks read their pairs
+        from bitsets, count listed keys with ``bincount`` and sort them."""
+        key_counts, sides = census._key_counts, []
 
-    def test_dense_graph_counts_by_bincount(self):
+        def listed(keys, edge_keys, span):
+            with mock.patch.object(census.np, "bincount", wraps=np.bincount) as bincount:
+                counted = key_counts(keys, edge_keys, span)
+            assert bincount.called == (span <= len(keys))
+            sides.append(bincount.called)
+            return counted
+
+        with mock.patch.object(census, "_TABLE_KEYS", table_keys), \
+                mock.patch.object(census, "_key_counts", listed), \
+                mock.patch.object(census, "_bitset_counts", wraps=census._bitset_counts) as bitset:
+            result = census.table_census(g)
+        return result, (bitset.call_count, sides.count(True), sides.count(False))
+
+    def test_dense_graph_counts_by_bitset(self):
         g = complete(40)
-        assert self._sides(g)[1:] == (1, 0)
+        with mock.patch.object(census.np, "searchsorted", wraps=np.searchsorted) as index:
+            assert self._sides(g)[1] == (1, 0, 0)
+        # no wedge index: every block reads its pairs from the bitsets
+        assert not index.called
+        self._check(g, (fast_census(g), len(_pairs(g))))
+
+    def test_middling_graph_counts_by_bincount(self):
+        # about 1.4 keys per bin of the block's span, fewer than its w = 3
+        # words per pair
+        g = er(130, 0.15, seed=0)
+        assert self._sides(g)[1] == (0, 1, 0)
         self._check(g, (fast_census(g), len(_pairs(g))))
 
     def test_sparse_graph_sorts(self):
         # n is far larger than the block's few thousand keys
         g = er(3000, 0.002, seed=5)
-        assert self._sides(g)[1:] == (0, 1)
+        assert self._sides(g)[1] == (0, 0, 1)
         self._check(g, (fast_census(g), len(_pairs(g))))
 
-    def test_one_call_takes_both_sides(self):
-        # small blocks: the clique's rows hold more keys than their span,
-        # the path's rows far fewer
+    def test_one_call_takes_all_sides(self):
+        # small blocks: the first rows of the clique hold more keys than
+        # their pairs' words, its last rows more keys than their span, the
+        # path's rows far fewer
         clique, tail = 60, 300
         edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
         edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
         g = Graph(clique + tail, edges)
         expected = (fast_census(g), len(_pairs(g)))
-        result, dense, sparse = self._sides(g, table_keys=1 << 12)
-        assert dense > 0 and sparse > 0
+        result, sides = self._sides(g, table_keys=1 << 12)
+        assert min(sides) > 0, sides
         assert result == expected
         self._check(g, expected)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_rows_across_word_boundaries(self, n):
+        g = er(n, 0.3, seed=n)
+        assert self._sides(g)[1][0] > 0
+        self._check(g, (fast_census(g), len(_pairs(g))))
 
 
 class TestCountsAgainstBrute:
