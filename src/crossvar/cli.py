@@ -2,8 +2,7 @@
 
 Commands: ``stats`` (census summary), ``variance`` (exact crossing
 variance), ``zscore`` (standardized observed crossings plus tail bounds),
-``selftest`` (built-in equality suite), ``bench`` (timing comparison of
-the general route with and without intersection reuse).
+``selftest`` (built-in equality suite).
 
 Exit codes: 0 success, 1 selftest failure, 2 input/parse error,
 3 algorithm not applicable, 4 degenerate statistics.
@@ -13,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from fractions import Fraction
 
 from .arrangements import (
@@ -32,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .frequencies import builtin_rla_table, load_layout_table
-from .generators import erdos_renyi
 from .graph import load_graph
 from .selftest import run_selftest
 from .variance import (
@@ -40,8 +36,6 @@ from .variance import (
     format_rational,
     rational_decimal,
     select_algorithm,
-    variance_general,
-    variance_general_reuse,
 )
 
 EXIT_OK = 0
@@ -143,48 +137,6 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report.ok else EXIT_SELFTEST
 
 
-def _time_call(fn, g, reps: int) -> int:
-    """Best-of-reps wall time of fn(g) in nanoseconds."""
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn(g)
-        times.append(time.perf_counter_ns() - t0)
-    return min(times)
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for n in args.n_list:
-        for p in args.p_list:
-            graphs = [
-                erdos_renyi(n, p, seed=args.seed + i) for i in range(args.graphs)
-            ]
-            t_plain = statistics.mean(
-                _time_call(variance_general, g, args.reps) for g in graphs
-            )
-            t_reuse = statistics.mean(
-                _time_call(variance_general_reuse, g, args.reps) for g in graphs
-            )
-            rows.append({
-                "n": n,
-                "p": p,
-                "time_general_ns": int(t_plain),
-                "time_reuse_ns": int(t_reuse),
-                "ratio": t_plain / t_reuse if t_reuse else float("nan"),
-            })
-    if args.json:
-        print(json.dumps({"model": "er", "rows": rows}, indent=2))
-    else:
-        print(f"{'n':>6} {'p':>6} {'general_ns':>12} {'reuse_ns':>12} {'ratio':>8}")
-        for row in rows:
-            print(
-                f"{row['n']:>6} {row['p']:>6} {row['time_general_ns']:>12}"
-                f" {row['time_reuse_ns']:>12} {row['ratio']:>8.3f}"
-            )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossvar",
@@ -224,16 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--json", action="store_true")
     p_self.set_defaults(fn=cmd_selftest)
 
-    p_bench = sub.add_parser("bench", help="time the general route with/without reuse")
-    p_bench.add_argument("--n-list", type=int, nargs="+", default=[10, 50, 100], dest="n_list")
-    p_bench.add_argument(
-        "--p-list", type=float, nargs="+", default=[0.1, 0.5], dest="p_list"
-    )
-    p_bench.add_argument("--graphs", type=int, default=3, help="graphs per grid cell")
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per graph")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -1,14 +1,14 @@
 """Immutable simple undirected graphs stored as numpy arrays.
 
-A :class:`Graph` is built once into numpy int64 arrays: the edges
-``edge_u < edge_v`` in ``(u, v)`` order, the compressed adjacency
-``indptr``/``indices`` (the neighbours of ``s`` are
-``indices[indptr[s]:indptr[s + 1]]``, strictly increasing) and
-``degree_array``.  Construction, :func:`degree_aggregates` and the
-acyclicity test are numpy passes over these arrays.  The Python views the
-oracles and the intersection merge read, ``adjacency``, ``degrees`` and
-``edges()``, hold plain Python ints and are built from the arrays on first
-use.
+A :class:`Graph` is built into numpy int64 arrays: the edges ``edge_u <
+edge_v`` in ``(u, v)`` order and ``degree_array``.  The compressed
+adjacency ``indptr``/``indices`` (the neighbours of ``s`` are
+``indices[indptr[s]:indptr[s + 1]]``, strictly increasing) is built from
+the edges on first use, as only the intersection routes read it: the
+forest route, :func:`degree_aggregates` and the acyclicity test work on
+the edges alone.  The Python views the oracles and the intersection merge
+read, ``adjacency``, ``degrees`` and ``edges()``, hold plain Python ints
+and are built from the arrays on first use too.
 
 :class:`Graph` is the one place where duplicate edges are collapsed, and
 :func:`degree_aggregates` the one place where degree sums are taken.  All
@@ -42,6 +42,8 @@ MAX_VERTICES = 1 << 25
 
 # numpy sums of products of degrees run in int64 only below this bound
 _INT64_SAFE = 1 << 62
+# float64 adds integers exactly while every partial sum stays below this bound
+_FLOAT64_EXACT = 1 << 53
 
 
 class Graph:
@@ -50,15 +52,18 @@ class Graph:
     An edge given more than once, in either orientation, is kept once.
     The arrays (see the module docstring) are read-only, and the structure
     is immutable after construction and safe to share across threads.
-    ``adjacency`` (strictly increasing tuples), ``degrees`` and ``edges()``
-    are views with Python ints; the tuples are built on first use and kept,
-    with one int object per vertex shared between them.  The acyclicity
-    test runs once and its answer is kept.
+    ``indptr``/``indices``, ``adjacency`` (strictly increasing tuples),
+    ``degrees`` and ``edges()`` are built on first use and kept; the
+    tuples hold Python ints, with one int object per vertex shared between
+    them.  Each lazy build is idempotent and stores its result with one
+    attribute assignment, so two threads that race on it each build equal
+    values and either may be kept.  The acyclicity test runs once and its
+    answer is kept.
     """
 
     __slots__ = (
-        "n", "m", "edge_u", "edge_v", "indptr", "indices", "degree_array",
-        "_vertex_ids", "_adjacency", "_degrees", "_forest",
+        "n", "m", "edge_u", "edge_v", "degree_array",
+        "_rows", "_vertex_ids", "_adjacency", "_degrees", "_forest",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -70,34 +75,33 @@ class Graph:
         pairs = _edge_array(edges)
         a, b = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
-        if bad.any():
-            i = int(bad.argmax())
+        if lo.min(initial=0) < 0 or hi.max(initial=-1) >= n or (lo == hi).any():
+            i = int(((lo == hi) | (lo < 0) | (hi >= n)).argmax())
             u, v = int(a[i]), int(b[i])
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
         # one key per edge, sorted; a key equal to its left neighbour repeats it
-        keys = lo * n + hi
+        keys = lo
+        keys *= n
+        keys += hi
+        del hi
         keys.sort()
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        u, v = np.divmod(keys, max(n, 1))
-        # both orientations of every edge, sorted, give the rows in order
-        arcs = np.concatenate((keys, v * n + u))
-        arcs.sort()
-        degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
+        if not first.all():
+            keys = keys[first]
+        u = keys // max(n, 1)
+        v = keys
+        v -= u * n
+        degree = np.bincount(u, minlength=n)
+        degree += np.bincount(v, minlength=n)
         self.n = n
-        self.m = len(keys)
+        self.m = len(u)
         self.edge_u = _frozen(u)
         self.edge_v = _frozen(v)
-        self.indptr = _frozen(indptr)
-        self.indices = _frozen(arcs % max(n, 1))
         self.degree_array = _frozen(degree.astype(np.int64, copy=False))
-        self._vertex_ids = self._adjacency = self._degrees = self._forest = None
+        self._rows = self._vertex_ids = self._adjacency = self._degrees = self._forest = None
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -106,6 +110,34 @@ class Graph:
         if n is None:
             n = 1 + int(pairs.max(initial=-1))
         return cls(n, pairs)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row ``s`` of ``indices`` is ``indptr[s]:indptr[s + 1]``."""
+        return (self._rows or self._build_rows())[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The neighbours of every vertex, row by row, each row increasing."""
+        return (self._rows or self._build_rows())[1]
+
+    def _build_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        n, m, u, v = max(self.n, 1), self.m, self.edge_u, self.edge_v
+        # both orientations of every edge as keys, sorted, give the rows in order
+        arcs = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, n, out=arcs[:m])
+        arcs[:m] += v
+        np.multiply(v, n, out=arcs[m:])
+        arcs[m:] += u
+        arcs.sort()
+        # a key less its row's multiple of n is the neighbour
+        row = arcs // n
+        row *= n
+        arcs -= row
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degree_array, out=indptr[1:])
+        self._rows = (_frozen(indptr), _frozen(arcs))
+        return self._rows
 
     def _ids(self) -> np.ndarray:
         """The vertices as an object array of Python ints, one per vertex."""
@@ -181,7 +213,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _acyclic(g: Graph) -> bool:
-    """A graph is a forest exactly when ``m = n - (number of components)``."""
+    """A graph is a forest exactly when ``m = n - (number of components)``.
+
+    A graph with a vertex has at least one component, so it is no forest
+    when ``m >= n``, and then no component is counted.
+    """
+    if g.n and g.m >= g.n:
+        return False
     return g.m == g.n - _components(g)
 
 
@@ -194,20 +232,21 @@ def _components(g: Graph) -> int:
     roots and those inside one component dropped.  A root left with no
     edge is a finished component; the others are renumbered ``0..k-1`` and
     the next round runs on that contracted graph, which has fewer vertices,
-    as every vertex with an edge either hooks or is hooked onto.
+    as every vertex with an edge either hooks or is hooked onto.  Every
+    round's edges have ``u < v``.
     """
     n, u, v = g.n, g.edge_u, g.edge_v
     finished = 0
     while len(u):
         parent = np.arange(n)
-        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        np.minimum.at(parent, v, u)
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
         u, v = parent[u], parent[v]
-        across = u != v
+        across = np.flatnonzero(u != v)
         u, v = u[across], v[across]
         live = np.zeros(n, dtype=bool)
         live[u] = True
@@ -215,7 +254,8 @@ def _components(g: Graph) -> int:
         k = int(np.count_nonzero(live))
         finished += int(np.count_nonzero(parent == np.arange(n))) - k
         label = np.cumsum(live) - 1
-        n, u, v = k, label[u], label[v]
+        u, v = label[u], label[v]
+        n, u, v = k, np.minimum(u, v), np.maximum(u, v)
     return finished + n
 
 
@@ -243,18 +283,25 @@ class DegreeAggregates:
 def degree_aggregates(g: Graph) -> DegreeAggregates:
     """All of :class:`DegreeAggregates` as numpy reductions over the vertices.
 
-    ``xi`` is read off a cumulative sum of the neighbours' degrees along
-    ``indices``, which ends at ``mmt2 <= 2 m n`` and so stays inside int64
-    for any graph that fits in memory under :data:`MAX_VERTICES`.  Every
-    summed term is at most ``kmax**4``, as ``xi <= kmax**2``, so the
-    reductions run in int64 when ``n * kmax**4`` stays below 2^62, and
-    otherwise on exact Python ints in object arrays.
+    ``xi`` is gathered from the edges, each adding the degree of one end to
+    the other, so the adjacency rows are not needed.  The gather adds
+    float64 weights, exact while every partial sum stays below 2^53; each
+    ``xi_s <= 2m`` and ``2m < n**2 <= 2^50`` under :data:`MAX_VERTICES`,
+    and a larger ``m`` would take an int64 scatter instead.  Every summed
+    term is at most ``kmax**4``, as ``xi <= kmax**2``, so the reductions
+    run in int64 when ``n * kmax**4`` stays below 2^62, and otherwise on
+    exact Python ints in object arrays.
     """
-    k = g.degree_array
-    running = np.zeros(len(g.indices) + 1, dtype=np.int64)
-    np.cumsum(k[g.indices], out=running[1:])
-    at_rows = running[g.indptr]
-    xi = at_rows[1:] - at_rows[:-1]
+    k, u, v = g.degree_array, g.edge_u, g.edge_v
+    if 2 * g.m < _FLOAT64_EXACT:
+        weight = k.astype(np.float64)
+        xi = np.bincount(u, weights=weight[v], minlength=g.n)
+        xi += np.bincount(v, weights=weight[u], minlength=g.n)
+        xi = xi.astype(np.int64)
+    else:
+        xi = np.zeros(g.n, dtype=np.int64)
+        np.add.at(xi, u, k[v])
+        np.add.at(xi, v, k[u])
     if g.n * int(k.max(initial=0)) ** 4 >= _INT64_SAFE:
         k, xi = k.astype(object), xi.astype(object)
     k2 = k * k
@@ -308,18 +355,30 @@ _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
 # to the line-by-line reading
 _OTHER_BREAKS_BYTES = re.compile(rb"[\x0b\x0c\x1c-\x1e]")
 _OTHER_BREAKS_STR = ("\x85", "\u2028", "\u2029")
-# longest token read as int64 without overflow
-_MAX_DIGITS = 18
+# longest token the whole-text scan decodes: MAX_VERTICES - 1 has 8 digits
+_DIGITS = 8
+# the decode reads the 8 bytes ending at a token as one little-endian word;
+# a token of L digits is its top L bytes, which _KEEP[L] keeps
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - L)) for L in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)
+_BLANKS = re.compile(rb"[ \t\n]*")
+_TEXT_BYTES = b"0123456789 \t\n"
+# bytes of text per block of the whole-text scan, so that its temporaries
+# stay in cache; a block runs on to the end of its last line
+_BLOCK = 1 << 18
 
 
 def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
-    """``(edge pairs, forced n)`` by numpy passes over the whole text, or
-    ``None`` when the text is not plainly well formed.
+    """``(edge pairs, forced n)`` by numpy passes over blocks of the text,
+    or ``None`` when the text is not plainly well formed.
 
     After comments and the directive are removed, only digits, spaces,
     tabs and line breaks may remain, every line must hold zero or two
-    tokens of at most 18 digits, and no pair may be a self-loop or name a
-    vertex beyond the budget.
+    tokens of at most 8 digits, and no pair may be a self-loop or name a
+    vertex beyond the budget.  Every id below :data:`MAX_VERTICES` has at
+    most 8 digits, so only ids with leading zeros and ids over the budget
+    are left to the line-by-line reading.  The text is read in blocks of
+    whole lines (:func:`_scan_block`), each token from one machine word.
     """
     if not text.isascii() and any(c in text for c in _OTHER_BREAKS_STR):
         return None
@@ -328,40 +387,101 @@ def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
         if _OTHER_BREAKS_BYTES.search(data):
             return None
         data = _COMMENT.sub(b"", data)
+    # trailing blanks change nothing, and the text then holds an 8-byte word
+    data = data.ljust(8)
     forced_n = None
-    body = data.lstrip(b" \t\n")
-    if body.startswith(b"n"):
-        line, _, data = body.partition(b"\n")
-        directive = _DIRECTIVE.fullmatch(line)
+    start = _BLANKS.match(data).end()
+    if data.startswith(b"n", start):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        directive = _DIRECTIVE.fullmatch(data, start, end)
         if directive is None:
             return None
         forced_n = int(directive[1])
         if forced_n > MAX_VERTICES:
             return None
-    if data.translate(None, b"0123456789 \t\n"):
+        start = end
+    # the bytes outside the text set are those of the directive, if any
+    if data.translate(None, _TEXT_BYTES) != data[:start].translate(None, _TEXT_BYTES):
         return None
     chars = np.frombuffer(data, dtype=np.uint8)
-    digit = chars >= ord("0")
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    blocks = []
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        values = _scan_block(chars[start:end], words, start)
+        if values is None:
+            return None
+        blocks.append(values)
+        start = end
+    return np.concatenate(blocks or [np.empty(0, dtype=np.int64)]).reshape(-1, 2), forced_n
+
+
+def _scan_block(chars: np.ndarray, words: np.ndarray, lo: int) -> np.ndarray | None:
+    """The vertex ids of the whole lines ``chars``, which start at byte
+    ``lo`` of the text, two per edge, or ``None`` if they are not plainly
+    well formed.  ``words[e]`` holds the eight bytes of the text from ``e``
+    on.
+    """
+    # digit[i + 1] for byte i, between two non-digits
+    digit = np.zeros(len(chars) + 2, dtype=bool)
+    np.greater_equal(chars, ord("0"), out=digit[1:-1])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
-    if len(starts) % 2 or (ends - starts).max(initial=0) > _MAX_DIGITS:
-        return None
     if len(starts) == 0:
-        return np.empty((0, 2), dtype=np.int64), forced_n
+        return np.empty(0, dtype=np.int64)
+    length = ends - starts
+    if len(starts) % 2 or length.max() > _DIGITS:
+        return None
     # whether the gap after each token but the last holds a line break: the
-    # two tokens of a pair share a line, and the next pair starts a new one
-    gap_breaks = np.logical_or.reduceat(
-        chars == ord("\n"), np.append(ends[:-1], starts[-1])
-    )[:-1]
+    # two tokens of a pair share a line, and the next pair starts a new one.
+    # A gap's first byte is read, and only the rest of a wider gap byte by byte.
+    gap = ends[:-1]
+    gap_breaks = chars[gap] == ord("\n")
+    wide = np.flatnonzero(chars[1:][gap] < ord("0"))
+    if len(wide):
+        rest = gap[wide] + 1
+        width = starts[wide + 1] - rest
+        offsets = np.cumsum(width) - width
+        at = np.repeat(rest - offsets, width) + np.arange(offsets[-1] + width[-1])
+        gap_breaks[wide] |= np.logical_or.reduceat(chars[at] == ord("\n"), offsets)
     if gap_breaks[0::2].any() or not gap_breaks[1::2].all():
         return None
-    values = np.fromstring(data, dtype=np.int64, sep=" ")
-    if len(values) != len(starts) or values.max() >= MAX_VERTICES:
+    values = _decode(words, ends + (lo - 8), length)
+    if values.max() >= MAX_VERTICES or (values[0::2] == values[1::2]).any():
         return None
-    pairs = values.reshape(-1, 2)
-    if (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    return pairs, forced_n
+    return values
+
+
+def _decode(words: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The tokens of 1 to 8 digits that end ``8`` bytes past ``at`` and have
+    ``length`` digits, as int64; ``words[e]`` holds the bytes ``e:e + 8`` of
+    the text, and ``at`` is negative for a token that ends before byte 8.
+
+    The word that ends at a token holds its first digit in the lowest byte
+    of the token's part.  XOR with ``'0'`` takes each digit to its value
+    without a borrow, the bytes in front of the token are cleared as
+    leading zeros, and three multiply/shift/mask steps fold neighbouring
+    digits into 2-, 4- and 8-digit numbers, the lower bytes the more
+    significant.
+    """
+    early = np.flatnonzero(at < 0)
+    # word 0 moved up, so that its top byte is the token's last digit
+    up = (-8 * at[early]).astype(np.uint64)
+    at[early] = 0
+    word = words[at]
+    word[early] <<= up
+    word ^= _ZEROS
+    word &= _KEEP[length]
+    word *= np.uint64(10 << 8 | 1)
+    word >>= np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word *= np.uint64(100 << 16 | 1)
+    word >>= np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word *= np.uint64(10000 << 32 | 1)
+    word >>= np.uint64(32)
+    return word.view(np.int64)
 
 
 def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:

@@ -13,6 +13,7 @@ from crossvar import cli, graph
 from crossvar.errors import CrossvarError, ValidationError
 from crossvar.generators import path, random_forest, random_tree, star
 from crossvar.graph import MAX_VERTICES, Graph, degree_aggregates, parse_edge_list
+from crossvar.variance import compute_variance, variance_forest
 
 
 def edge_lists(max_n=9):
@@ -67,6 +68,45 @@ class TestArrays:
         assert Graph.from_edges(np.array([[0, 1], [1, 2]])) == g
         assert Graph(3, iter([(0, 1), (1, 2)])) == g
         assert Graph.from_edges([]) == Graph(0, [])
+
+
+def _rows_by_sorting(n, edges):
+    """``(indptr, indices)`` from a sort of both orientations of every edge."""
+    arcs = sorted({(u, v) for e in edges for u, v in (e, e[::-1])})
+    indptr = np.searchsorted([u for u, _ in arcs], np.arange(n + 1))
+    return indptr.tolist(), [v for _, v in arcs]
+
+
+class TestLazyAdjacency:
+    @given(edge_lists())
+    def test_rows_match_a_sort(self, data):
+        n, edges = data
+        g = Graph(n, edges)
+        assert g._rows is None
+        assert (g.indptr.tolist(), g.indices.tolist()) == _rows_by_sorting(n, edges)
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (6, [(4, 1)]), (7, [(5, 2), (2, 0)])])
+    def test_empty_graph_and_isolated_vertices(self, n, edges):
+        g = Graph(n, edges)
+        assert (g.indptr.tolist(), g.indices.tolist()) == _rows_by_sorting(n, edges)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
+    def test_rows_are_read_only_and_built_once(self):
+        g = Graph(4, [(0, 1), (1, 2), (3, 1)])
+        indptr, indices = g.indptr, g.indices
+        for a in (indptr, indices):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert g.indptr is indptr and g.indices is indices
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_tree(2000, seed=1), lambda: random_forest(500, seed=2),
+    ])
+    def test_forest_route_leaves_rows_unbuilt(self, make):
+        g = make()
+        variance_forest(g)
+        assert compute_variance(g).algorithm == "forest"
+        assert g._rows is None
 
 
 def _acyclic_by_union_find(n, edges):
@@ -141,6 +181,24 @@ class TestForest:
         assert Graph(0, []).is_forest() is True
         assert Graph(3, []).is_forest() is True
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1), (1, 2), (0, 2)]),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+    ])
+    def test_m_at_least_n_is_no_forest_without_hooking(self, n, edges):
+        with mock.patch.object(graph, "_components", side_effect=AssertionError):
+            assert Graph(n, edges).is_forest() is False
+
+    def test_fewer_edges_than_vertices_still_hooks(self):
+        # a triangle and an isolated vertex: m = 3 < n = 4, and still a cycle
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        with mock.patch.object(graph, "_components", wraps=graph._components) as hook:
+            assert g.is_forest() is False
+        assert hook.call_count == 1
+        with mock.patch.object(graph, "_components", wraps=graph._components) as hook:
+            assert Graph(0, []).is_forest() is True
+        assert hook.call_count == 1
+
 
 def _aggregates_by_definition(g):
     k = g.degrees
@@ -170,6 +228,28 @@ class TestAggregatesBeyondInt64:
     def test_small_graphs(self, data):
         g = Graph(*data)
         assert vars(degree_aggregates(g)) == _aggregates_by_definition(g)
+
+
+class TestNeighbourDegreeSums:
+    """``xi`` is gathered in float64 below 2^53 and by an int64 scatter above."""
+
+    @given(edge_lists())
+    def test_scatter_matches_the_float_gather(self, data):
+        g = Graph(*data)
+        with mock.patch.object(graph, "_FLOAT64_EXACT", 0):
+            scattered = degree_aggregates(g)
+        assert scattered == degree_aggregates(g)
+        assert vars(scattered) == _aggregates_by_definition(g)
+
+    def test_bound_covers_every_graph_within_budget(self):
+        # xi_s <= 2m < n^2 <= MAX_VERTICES^2, so the float gather is exact
+        assert MAX_VERTICES ** 2 <= graph._FLOAT64_EXACT
+
+    def test_star_past_int64_takes_both_paths_alike(self):
+        g = star(70_001)
+        with mock.patch.object(graph, "_FLOAT64_EXACT", 0):
+            scattered = degree_aggregates(g)
+        assert scattered == degree_aggregates(g)
 
 
 def _outcome(text):
@@ -226,6 +306,36 @@ def edge_list_texts(draw, malformed):
     return text
 
 
+def _ids_of_digits(d):
+    return st.integers(10 ** (d - 1) if d > 1 else 0, 10 ** d - 1)
+
+
+# every digit count the whole-text scan decodes, and the ids at the budget
+_long_id = st.one_of(
+    st.integers(1, 8).flatmap(_ids_of_digits),
+    st.sampled_from([0, 9, 10, 99_999_999, MAX_VERTICES - 1, MAX_VERTICES]),
+)
+# small ids written with up to ten leading zeros, so some have 9+ digits
+_zero_padded_id = st.builds(lambda v, zeros: "0" * zeros + str(v), _vertex, st.integers(0, 10))
+_pair_gap = st.text(" \t", min_size=1, max_size=4)
+_line_gap = st.builds(
+    lambda pre, brk, post: pre + brk + post, st.text(" \t", max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r\n\r\n", "\n \t\n", "\r\n\t \r\n"]),
+    st.text(" \t", max_size=3),
+)
+
+
+@st.composite
+def zero_padded_texts(draw):
+    """Pairs of zero-padded ids between gaps of mixed blanks and line breaks;
+    with no prefix, the first token starts at byte 0."""
+    text = draw(st.sampled_from(["", " ", "\t\r\n", "n=12\r\n"]))
+    pairs = st.tuples(_zero_padded_id, _zero_padded_id).filter(lambda e: int(e[0]) != int(e[1]))
+    for u, v in draw(st.lists(pairs, max_size=8)):
+        text += u + draw(_pair_gap) + v + draw(_line_gap)
+    return text
+
+
 class TestWholeTextScan:
     @given(edge_list_texts(malformed=False))
     def test_well_formed_text(self, text):
@@ -261,6 +371,55 @@ class TestWholeTextScan:
     def test_pair_split_across_lines(self, text):
         outcome = _outcome(text)
         assert outcome[0] == "error" and outcome == _outcome_line_by_line(text)
+
+    @given(st.lists(st.tuples(_long_id, _long_id).filter(lambda e: e[0] != e[1]),
+                    min_size=1, max_size=8), st.sampled_from(["\n", "\r\n"]))
+    def test_ids_of_one_to_eight_digits(self, edges, newline):
+        # the line-by-line reading's pairs, before a Graph of up to 2^25
+        # vertices would be built from them
+        text = newline.join(f"{u} {v}" for u, v in edges)
+        whole = graph._scan_whole(text)
+        if max(map(max, edges)) >= MAX_VERTICES:
+            assert whole is None
+            with pytest.raises(ValidationError, match="exceeds the budget"):
+                graph._scan_lines(text)
+        else:
+            pairs, forced_n = graph._scan_lines(text)
+            assert whole is not None and whole[1] is forced_n is None
+            assert whole[0].tolist() == pairs.tolist() == [list(e) for e in edges]
+
+    @given(zero_padded_texts())
+    def test_leading_zeros_and_wide_gaps(self, text):
+        assert _outcome(text) == _outcome_line_by_line(text)
+        # tokens of 9 or more digits are left to the line-by-line reading
+        decoded = all(len(token) <= 8 for token in text.replace("n=12", "").split())
+        assert (graph._scan_whole(text) is not None) is decoded
+
+    @pytest.mark.parametrize("text", [
+        "1 2", "7 3\n", "0000001 2\n", "00000001 2\n", "000000001 2\n",
+        "5 0000003\n3 5", "12345 7", "n=4\n0 1", "n=3\n2 1\n",
+    ])
+    def test_tokens_near_the_start(self, text):
+        assert _outcome(text) == _outcome_line_by_line(text)
+        assert (graph._scan_whole(text) is None) is ("000000001" in text)
+
+    @given(st.one_of(edge_list_texts(malformed=False), edge_list_texts(malformed=True),
+                     zero_padded_texts()), st.integers(1, 12))
+    def test_blocks_of_any_size(self, text, block):
+        with mock.patch.object(graph, "_BLOCK", block):
+            assert _outcome(text) == _outcome_line_by_line(text)
+
+    def test_written_tree_parses_back(self):
+        g = random_tree(100_000, seed=11)
+        edges = list(g.edges())
+        text = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        assert graph._scan_whole(text) is not None
+        assert parse_edge_list(text) == g
+        # reversed and shuffled, with no directive and CRLF line breaks
+        perm = np.random.default_rng(0).permutation(len(edges))
+        text = "".join(f"{edges[i][1]}\t{edges[i][0]}\r\n" for i in perm)
+        assert graph._scan_whole(text) is not None
+        assert parse_edge_list(text) == g
 
 
 class TestBudget:
