@@ -15,13 +15,20 @@ The first term counts every pair that starts and ends in the same order:
 the crossing pairs plus the disjoint ones (``hi_i < lo_j``) and those
 that meet end to start (``hi_i = lo_j``); edges sharing a left end never
 count, because their ``hi`` descends.  The second term is exactly those
-disjoint and meeting pairs, read off a cumulative histogram of right
-ends.  The first term is a bottom-up merge over the sequence of right
-ends: pairs inside leaf blocks of ``_LEAF`` edges are compared directly,
-and at each level the two sorted halves of a block are sorted together,
-the left half tagged in the low bit, so that where the left values land
-tells how many right values lie above them.  Sorting the blocks makes a
-count O(m log² m) time and O(n + m) memory.  One numpy kernel runs it,
+disjoint and meeting pairs: with the right ends as ``2·hi`` and the left
+ends as ``2·lo + 1``, one sort of a row's 2m ends puts each left end
+after the right ends at or before it, so the places of the left ends sum
+to that count plus m(m − 1)/2.  The first term is a bottom-up merge over
+the sequence of right ends: pairs inside leaf blocks of ``_LEAF`` edges
+(the power of two at or above m, if that is smaller) are compared
+directly, and at each level the two halves of a block are sorted
+together, the left half tagged in the low bit, so that where the left
+values land tells how many right values lie above them.  The halves need
+no sorting of their own: how many right values lie above a left value
+depends on which half each value came from, not on its place within the
+half, so every level sorts its blocks whole and inherits no order from
+the level below.  Sorting the blocks makes a count O(m log² m) time and
+O(n + m) memory.  One numpy kernel runs it,
 vectorised across edges and arrangements at once: ``count_crossings``
 on one row, Monte Carlo and exhaustive enumeration on chunks of rows.
 Positions, right ends and merge keys are int32, as every key is below
@@ -122,15 +129,23 @@ def count_crossings(g: Graph, order) -> int:
 def _chunk_rows(g: Graph) -> int:
     """Rows per chunk of the batch crossing count, so that one chunk's
     working set stays near ``_SWEEP_BYTES``."""
-    # a row of int32 positions (4 bytes per vertex) beside _merge_count at
-    # its widest: while ends are counted, the int32 ends lo and hi and the
-    # int64 offset ends a bincount reads (16 bytes per edge) and two int64
-    # histograms (16 bytes per vertex); while merging, 9 bytes per padded
-    # key (the int32 keys, a copy of them and a boolean compare, or the keys
-    # and their low bits), and a row pads to fewer than 2m keys; 64 more
-    # bytes cover small fixed arrays
-    row_bytes = 20 * g.n + 18 * g.m + 64
+    # a row of positions as monte_carlo draws them, in int64, and its int32
+    # copy (12 bytes per vertex) beside _merge_count at its widest: while
+    # ends are counted, the int32 lo, hi and 2m events (16 bytes per edge);
+    # while merging, the int32 keys, low bits and tally (12 bytes per padded
+    # key, which also covers the leaf compares: the keys, their transposed
+    # copy, the int8 counts and a boolean compare); 64 more bytes cover
+    # small fixed arrays
+    _, width = _leaf_width(g.m)
+    row_bytes = 12 * g.n + max(16 * g.m, 12 * width) + 64
     return max(1, _SWEEP_BYTES // row_bytes)
+
+
+def _leaf_width(m: int) -> tuple[int, int]:
+    """Edges per leaf block of the merge count, ``_LEAF`` or the power of
+    two at or above a smaller ``m``, and the padded row width, leaf·2^k."""
+    leaf = min(_LEAF, 1 << (m - 1).bit_length())
+    return leaf, leaf << ((m - 1) // leaf).bit_length()
 
 
 def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
@@ -161,16 +176,21 @@ def _merge_count(eu: np.ndarray, ev: np.ndarray, pos: np.ndarray) -> np.ndarray:
     lo = np.minimum(a, b)
     hi = np.maximum(a, b, out=a)
     del a, b
-    # pairs with hi_i <= lo_j: the histogram of left ends against the
-    # cumulative histogram of right ends, one bincount each over all rows
-    offset = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
-    started = np.bincount((lo + offset).ravel(), minlength=rows * n).reshape(rows, n)
-    ended = np.bincount((hi + offset).ravel(), minlength=rows * n).reshape(rows, n)
-    np.cumsum(ended, axis=1, out=ended)
-    total = -np.einsum("ij,ij->i", started, ended)
-    del started, ended
+    # pairs with hi_i <= lo_j: each row's ends 2·hi and starts 2·lo + 1
+    # sorted together.  A start then follows the ends at or before its
+    # position, the pairs sought, and the starts placed before it, which
+    # add 0 + 1 + ... + (m − 1) over all starts, however equal starts fall
+    events = np.empty((rows, 2 * m), dtype=np.int32)
+    np.left_shift(hi, 1, out=events[:, :m])
+    np.left_shift(lo, 1, out=events[:, m:])
+    events[:, m:] |= 1
+    events.sort(axis=1)
+    events &= 1
+    events *= np.arange(2 * m, dtype=np.int32)
+    total = m * (m - 1) // 2 - events.sum(axis=1, dtype=np.int64)
+    del events
     # each row's right ends in (lo ascending, hi descending) order, padded
-    # with zeros to _LEAF·2^k: 0 < hi < n <= 2^s, so the sorted keys
+    # with zeros to leaf·2^k: 0 < hi < n <= 2^s, so the sorted keys
     # lo·2^s − hi give hi back as their low s bits negated, and the zeros
     # come last and are below every hi, so they add no pair.  The keys fit
     # int32, and sort fastest there, while (n − 1)·2^s < 2^31; wider graphs
@@ -180,41 +200,51 @@ def _merge_count(eu: np.ndarray, ev: np.ndarray, pos: np.ndarray) -> np.ndarray:
         lo = lo.astype(np.int64)
     lo <<= s
     lo -= hi
+    del hi
     lo.sort(axis=1)
     np.negative(lo, out=lo)
     lo &= (1 << s) - 1
-    width = _LEAF << ((m - 1) // _LEAF).bit_length()
+    leaf, width = _leaf_width(m)
     keys = np.zeros((rows, width), dtype=np.int32)
     keys[:, :m] = lo
-    del lo, hi
+    del lo
     # pairs inside a leaf, compared directly: one shifted compare per
     # distance d, on a copy whose [r, i, j] is place i of leaf j, so that
-    # each compare runs over contiguous memory
-    leaves = keys.reshape(rows, -1, _LEAF)
-    across = np.ascontiguousarray(leaves.transpose(0, 2, 1))
-    for d in range(1, _LEAF):
-        total += np.count_nonzero(across[:, :-d] < across[:, d:], axis=(1, 2))
-    del across
-    # pairs across the two sorted halves of each block, level by level: the
-    # keys are 2·hi, with the low bit set in the left half, so after sorting
-    # a block a left value precedes exactly the right values above it
-    leaves.sort(axis=-1)
+    # each compare runs over contiguous memory; place i gains at most
+    # leaf − 1 counts, so they add up in int8 and are reduced once
+    across = np.ascontiguousarray(keys.reshape(rows, -1, leaf).transpose(0, 2, 1))
+    below = np.zeros((rows, leaf - 1, width // leaf), dtype=np.int8)
+    for d in range(1, leaf):
+        below[:, :leaf - d] += across[:, :-d] < across[:, d:]
+    total += below.sum(axis=(1, 2), dtype=np.int64)
+    del across, below
+    # pairs across the two halves of each block, level by level: the keys
+    # are 2·hi, with the low bit set in the left half, so after sorting a
+    # block a left value precedes exactly the right values above it, in
+    # whatever order the halves were
     keys <<= 1
-    left = np.empty_like(keys)
-    half = _LEAF
+    place = np.arange(width, dtype=np.int32)
+    bit = np.empty_like(keys)
+    # levels at which each place of a row held a left value: fewer than
+    # width.bit_length(), so place·tally fits int32 below that bound
+    wide = width * width.bit_length() >= 1 << 31
+    tally = np.zeros((rows, width), dtype=np.int64 if wide else np.int32)
+    half = leaf
     while half < width:
-        pairs = keys.reshape(rows, -1, 2, half)
-        pairs[:, :, 0] |= 1
-        pairs.reshape(rows, -1, 2 * half).sort(axis=-1)
+        keys |= (place // half + 1) & 1
+        keys.reshape(rows, -1, 2 * half).sort(axis=-1)
+        np.bitwise_and(keys, 1, out=bit)
+        tally += bit
+        keys ^= bit
         # a left value at place p of its block precedes 2·half − 1 − p
         # values, half − 1 − (its rank among the left ones) of them left, so
-        # a block holds half·(3·half − 1)/2 − Σ_left p such pairs
-        np.bitwise_and(keys, 1, out=left)
-        left *= np.arange(width, dtype=np.int32) % (2 * half)
-        total += width // (2 * half) * (half * (3 * half - 1) // 2)
-        total -= left.sum(axis=1, dtype=np.int64)
-        keys &= -2
+        # a block holds half·(3·half − 1)/2 − Σ_left p such pairs; block b
+        # starts at place 2·half·b of the row and holds half left values
+        blocks = width // (2 * half)
+        total += blocks * (half * (3 * half - 1) // 2) + half * half * blocks * (blocks - 1)
         half *= 2
+    tally *= place
+    total -= tally.sum(axis=1, dtype=np.int64)
     return total
 
 
@@ -279,13 +309,21 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     ``_chunk_rows(g)`` rows at a time and counted by the module's merge
     count, vectorised across the rows: O(m log² m) time per row, and memory
     near ``_SWEEP_BYTES`` plus the samples.  Each row is shuffled in turn from
-    one generator, so the chunk size does not change the draws.
+    one generator, so the chunk size does not change the draws.  The rows
+    are int64, which numpy's shuffle swaps fastest; a shuffle draws the same
+    permutation for any item size, and the count takes the rows as int32.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValidationError(
+            f"samples must be an integer, got {reprlib.repr(samples)}"
+        ) from None
     if samples < 2:
         raise ValidationError("need at least 2 samples for a variance estimate")
     rng = np.random.default_rng(seed)
     values = np.empty(samples, dtype=np.int64)
-    base = np.arange(g.n, dtype=np.int32)
+    base = np.arange(g.n, dtype=np.int64)
     step = _chunk_rows(g)
     done = 0
     while done < samples:

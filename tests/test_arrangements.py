@@ -1,5 +1,6 @@
 """Crossing counts of concrete arrangements, enumeration, sampling, bounds."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,15 @@ from crossvar.errors import (
     OracleBudgetError,
     ValidationError,
 )
-from crossvar.generators import complete, cycle, erdos_renyi, one_regular, path, star
+from crossvar.generators import (
+    complete,
+    cycle,
+    erdos_renyi,
+    one_regular,
+    path,
+    random_tree,
+    star,
+)
 from crossvar.graph import Graph
 from crossvar.variance import variance_general
 
@@ -117,6 +126,18 @@ class TestCountCrossings:
         assert [count_crossings(g, o) for o in orders] == expected
         pos = np.argsort(np.array(orders), axis=1)
         assert arrangements._positions_to_crossings(g, pos).tolist() == expected
+
+    def test_complete_graph_crosses_once_in_every_four_vertices(self):
+        # any four vertices of K_n in any order span exactly one crossing
+        # pair, so C = C(n, 4) needs no oracle.  n = 100 merges over ten
+        # levels; n = 500 has 124750 edges and C above 2^31
+        for n in (100, 500):
+            order = random.Random(n).sample(range(n), n)
+            assert count_crossings(complete(n), order) == math.comb(n, 4)
+        orders = [random.Random(i).sample(range(500), 500) for i in range(3)]
+        pos = np.argsort(np.array(orders), axis=1)
+        got = arrangements._positions_to_crossings(complete(500), pos)
+        assert got.tolist() == [math.comb(500, 4)] * 3
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -254,6 +275,24 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("g", [
+        Graph(64, random.Random(0).sample(list(combinations(range(64), 2)), 128)),
+        erdos_renyi(200, 0.05, seed=1),
+        random_tree(2000, seed=1),
+        complete(40),
+    ], ids=["gnm64-128", "er200", "tree2000", "k40"])
+    def test_one_chunk_stays_near_the_sweep_budget(self, g):
+        # one chunk of draws, counted end to end, against _chunk_rows's
+        # byte model: a model that misses a temporary overshoots the budget
+        samples = arrangements._chunk_rows(g)
+        tracemalloc.start()
+        try:
+            monte_carlo(g, samples, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * arrangements._SWEEP_BYTES
+
     def test_seed_changes_stream(self):
         g = cycle(5)
         assert monte_carlo(g, 2000, seed=1) != monte_carlo(g, 2000, seed=2)
@@ -267,6 +306,12 @@ class TestMonteCarlo:
     def test_sample_too_small(self):
         with pytest.raises(ValidationError):
             monte_carlo(path(4), 1, seed=0)
+
+    @pytest.mark.parametrize("samples", [1e5, 2.0, "100", None])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            monte_carlo(path(4), samples, seed=0)
+        assert monte_carlo(path(4), np.int64(3), seed=0).samples == 3
 
 
 class TestZscore:
