@@ -56,6 +56,7 @@ from .errors import (
 )
 from .graph import Graph
 
+#: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
 # working set of one row chunk in the batch crossing count
 _SWEEP_BYTES = 1 << 21
@@ -258,15 +259,16 @@ class ExactDistribution:
     variance: Fraction
 
 
-def exhaustive_distribution(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> ExactDistribution:
+def exhaustive_distribution(g: Graph) -> ExactDistribution:
     """Crossing distribution by full enumeration of the n! arrangements.
 
     Iterating over all permutations of position maps covers exactly the
     set of arrangements, so each tuple is used directly as a position row.
+    Graphs with more than :data:`EXHAUSTIVE_LIMIT` vertices are refused.
     """
-    if g.n > limit:
+    if g.n > EXHAUSTIVE_LIMIT:
         raise OracleBudgetError(
-            f"exhaustive distribution limited to n <= {limit} (got n={g.n})"
+            f"exhaustive distribution limited to n <= {EXHAUSTIVE_LIMIT} (got n={g.n})"
         )
     total = math.factorial(g.n)
     if g.m < 2:

@@ -7,13 +7,21 @@ forms in :mod:`crossvar.census`, of the crossing merge count in
 :mod:`crossvar.arrangements` and of the typed constants of
 :func:`crossvar.frequencies.builtin_rla_table`: counts come from explicit
 enumeration of edge pairs, walks, vertex subsets and vertex orders, plus
-naive adjacency-matrix powers as an extra cross-check.
+naive adjacency-matrix powers as an extra cross-check.  Each pattern has
+one enumerator: simple paths come from the DFS of :func:`simple_walks`,
+which the pattern counts of
+:func:`crossvar.frequencies.frequencies_from_subgraph_counts` read too,
+and triangles from one scan of vertex triples.
+
+:func:`brute_census` refuses a graph with more than
+:data:`DEFAULT_ORACLE_LIMIT` = 12 vertices before it enumerates anything.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .arrangements import validate_arrangement
 from .census import CensusReport
@@ -113,42 +121,51 @@ def rla_table_brute() -> tuple[Fraction, dict[str, Fraction]]:
     return deltas.pop(), gamma
 
 
-def count_simple_paths(g: Graph, length: int) -> int:
-    """Number of subgraphs isomorphic to the path on `length` vertices.
+def simple_walks(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
+    """Every simple path on `length` vertices as a vertex sequence, by DFS.
 
-    Enumerates vertex sequences by DFS and halves (each path is walked
-    from both ends).
+    Each path is yielded twice, once walked from each end.
     """
     if length < 2:
         raise ValueError("paths need at least 2 vertices")
-    total = 0
 
     def extend(walk: list[int], used: set[int]):
-        nonlocal total
         if len(walk) == length:
-            total += 1
+            yield tuple(walk)
             return
         for w in g.adjacency[walk[-1]]:
             if w not in used:
                 used.add(w)
                 walk.append(w)
-                extend(walk, used)
+                yield from extend(walk, used)
                 walk.pop()
                 used.remove(w)
 
     for start in range(g.n):
-        extend([start], {start})
+        yield from extend([start], {start})
+
+
+def count_simple_paths(g: Graph, length: int) -> int:
+    """Number of subgraphs isomorphic to the path on `length` vertices.
+
+    Counts the walks of :func:`simple_walks` and halves.
+    """
+    total = sum(1 for _ in simple_walks(g, length))
     if total % 2:
         raise InternalInconsistencyError("a path was walked in one direction only")
     return total // 2
 
 
+def _triangles(g: Graph) -> list[tuple[int, int, int]]:
+    return [
+        t
+        for t in combinations(range(g.n), 3)
+        if g.adjacent(t[0], t[1]) and g.adjacent(t[0], t[2]) and g.adjacent(t[1], t[2])
+    ]
+
+
 def count_triangles_brute(g: Graph) -> int:
-    return sum(
-        1
-        for a, b, c in combinations(range(g.n), 3)
-        if g.adjacent(a, b) and g.adjacent(a, c) and g.adjacent(b, c)
-    )
+    return len(_triangles(g))
 
 
 def count_cycles4_brute(g: Graph) -> int:
@@ -162,14 +179,6 @@ def count_cycles4_brute(g: Graph) -> int:
             if g.adjacent(p, r) and g.adjacent(r, q) and g.adjacent(q, s) and g.adjacent(s, p):
                 total += 1
     return total
-
-
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    return [
-        t
-        for t in combinations(range(g.n), 3)
-        if g.adjacent(t[0], t[1]) and g.adjacent(t[0], t[2]) and g.adjacent(t[1], t[2])
-    ]
 
 
 def count_paw_brute(g: Graph) -> int:
@@ -216,14 +225,17 @@ def _mat_mul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def brute_census(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> CensusReport:
+def brute_census(g: Graph) -> CensusReport:
     """Every census field by exhaustive enumeration over Q and subsets.
 
     Also recomputes the path-4 and cycle-4 counts through naive adjacency
-    matrix powers and fails loudly if any route disagrees.
+    matrix powers and fails loudly if any route disagrees.  Graphs with
+    more than :data:`DEFAULT_ORACLE_LIMIT` vertices are refused.
     """
-    if g.n > limit:
-        raise OracleBudgetError(f"brute_census limited to n <= {limit} (got n={g.n})")
+    if g.n > DEFAULT_ORACLE_LIMIT:
+        raise OracleBudgetError(
+            f"brute_census limited to n <= {DEFAULT_ORACLE_LIMIT} (got n={g.n})"
+        )
     k = g.degrees
     pairs = independent_edge_pairs(g)
     q = len(pairs)

@@ -4,6 +4,16 @@ The nine types are keyed by string codes ``"00" ... "24"``; a type is
 determined by how many edges and how many vertices two elements of Q
 share, with a third digit separating the two sharing patterns that both
 have zero common edges and two common vertices.
+
+Three routes count the ordered pairs of Q elements of each type:
+:func:`frequencies_brute` classifies every pair,
+:func:`frequencies_from_subgraph_counts` multiplies pattern counts taken by
+the enumerators of :mod:`crossvar.brute`, and
+:func:`frequencies_from_census` evaluates closed forms over a census.  The
+first two are oracles, and each checks its budget, a constant, before any
+work: :func:`frequencies_brute` refuses more than :data:`PAIR_BUDGET` =
+2^33 ordered pairs, with q^2 taken from the degrees, and pattern counting
+refuses more than ``max(limit, 25)`` vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +28,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .brute import independent_edge_pairs
+from .brute import (
+    count_cycles4_brute,
+    count_simple_paths,
+    independent_edge_pairs,
+    simple_walks,
+)
 from .errors import (
     EdgeListParseError,
     InternalInconsistencyError,
@@ -31,19 +46,6 @@ PRODUCT_TYPES = ("00", "01", "021", "022", "03", "04", "12", "13", "24")
 
 # codes of the seven types with a non-zero expectation contribution
 CONTRIBUTING_TYPES = ("24", "13", "12", "04", "03", "021", "022")
-
-#: (shared edges, shared vertices) per type; 021/022 share (0, 2)
-TAU_PHI = {
-    "00": (0, 0),
-    "01": (0, 1),
-    "021": (0, 2),
-    "022": (0, 2),
-    "03": (0, 3),
-    "04": (0, 4),
-    "12": (1, 2),
-    "13": (1, 3),
-    "24": (2, 4),
-}
 
 EdgePair = tuple[tuple[int, int], tuple[int, int]]
 
@@ -93,32 +95,30 @@ class FrequencyVector:
     def total(self) -> int:
         return sum(self.counts.values()) + self.null_total
 
-    def __getitem__(self, code: str) -> int:
-        if code in self.counts:
-            return self.counts[code]
-        if code == "00" and self.f00 is not None:
-            return self.f00
-        if code == "01" and self.f01 is not None:
-            return self.f01
-        raise KeyError(code)
+
+#: most ordered pairs of Q elements :func:`frequencies_brute` classifies;
+#: it admits every graph of the selftest corpus (q^2 <= 1.5e7) and
+#: G(40, 1/2), whose q^2 is 4.1e9
+PAIR_BUDGET = 2**33
 
 
-DEFAULT_PAIR_BUDGET = 10**8
-
-
-def frequencies_brute(g: Graph, pair_budget: int | None = DEFAULT_PAIR_BUDGET) -> FrequencyVector:
+def frequencies_brute(g: Graph) -> FrequencyVector:
     """Classify every ordered pair of Q elements.
 
     The classification itself is pure definition chasing (count shared
     edges and shared vertices per pair) but is evaluated with vectorized
-    comparisons so the oracle stays usable on mid-size graphs.
+    comparisons so the oracle stays usable on mid-size graphs.  A graph
+    with more than :data:`PAIR_BUDGET` ordered pairs is refused from its
+    degrees, before any pair is listed.
     """
+    q2 = compute_q(g) ** 2
+    if q2 > PAIR_BUDGET:
+        raise OracleBudgetError(
+            f"pair classification needs q^2 = {q2} ordered pairs, over its budget of"
+            f" {PAIR_BUDGET} (2^33)"
+        )
     pairs = independent_edge_pairs(g)
     q = len(pairs)
-    if pair_budget is not None and q * q > pair_budget:
-        raise OracleBudgetError(
-            f"q^2 = {q * q} exceeds the configured budget {pair_budget}"
-        )
     freq = {code: 0 for code in PRODUCT_TYPES}
     freq["24"] = q  # the diagonal
     if q > 1:
@@ -134,7 +134,7 @@ def frequencies_brute(g: Graph, pair_budget: int | None = DEFAULT_PAIR_BUDGET) -
             for x in (s, t, u, v):
                 masks[i, x >> 6] |= one << np.uint64(x & 63)
 
-        chunk = max(1, 16_000_000 // max(q, 1))
+        chunk = max(1, 16_000_000 // q)
         for i0 in range(0, q - 1, chunk):
             i1 = min(i0 + chunk, q - 1)
             rows = np.arange(i0, i1)
@@ -235,23 +235,15 @@ def frequencies_from_census(c, m: int) -> FrequencyVector:
     return FrequencyVector(counts=f, null_total=null_total)
 
 
-def frequencies_from_subgraph_counts(
-    g: Graph, limit: int = 20, count_null_types: bool = False
-) -> FrequencyVector:
+def frequencies_from_subgraph_counts(g: Graph, limit: int = 20) -> FrequencyVector:
     """Type counts as pattern multiplicity times brute subgraph count.
 
     Patterns are counted by explicit enumeration (edges, walks, subsets),
     independent from both the pair classification and the closed forms.
+    The two null types are reported jointly via the q^2 complement.
     """
-    if g.n > limit and count_null_types:
-        raise OracleBudgetError(f"null-type pattern counting limited to n <= {limit}")
     if g.n > max(limit, 25):
         raise OracleBudgetError(f"pattern counting limited to n <= {max(limit, 25)}")
-
-    from .brute import (
-        count_cycles4_brute,
-        count_simple_paths,
-    )
 
     edges = list(g.edges())
     q_pairs = independent_edge_pairs(g)
@@ -263,7 +255,7 @@ def frequencies_from_subgraph_counts(
         for c in range(g.n)
         for a, b in combinations(g.adjacency[c], 2)
     ]
-    l4s = _enumerate_paths(g, 4)
+    l4s = [walk for walk in simple_walks(g, 4) if walk[0] < walk[-1]]
 
     def disjoint_edges(vset) -> int:
         return sum(1 for u, v in edges if u not in vset and v not in vset)
@@ -293,53 +285,7 @@ def frequencies_from_subgraph_counts(
         "021": 2 * n_l4_l2,
         "022": 4 * n_l3_l3,
     }
-    f00 = f01 = None
-    if count_null_types:
-        # 4-matchings; every one arises from 3 unordered pairs of Q elements
-        quad_hits = sum(
-            1
-            for i in range(q)
-            for j in range(i + 1, q)
-            if not (
-                {*q_pairs[i][0], *q_pairs[i][1]} & {*q_pairs[j][0], *q_pairs[j][1]}
-            )
-        )
-        if quad_hits % 3:
-            raise InternalInconsistencyError("4-matching hits are not a multiple of 3")
-        f00 = 6 * (quad_hits // 3)
-        n_l3_l2_l2 = sum(
-            1
-            for t in l3_sets
-            for (s1, t1), (u1, v1) in q_pairs
-            if not ({s1, t1, u1, v1} & t)
-        )
-        f01 = 4 * n_l3_l2_l2
-    null_total = (
-        (f00 + f01) if f00 is not None else compute_q(g) ** 2 - sum(f.values())
-    )
-    return FrequencyVector(counts=f, null_total=null_total, f00=f00, f01=f01)
-
-
-def _enumerate_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
-    """All simple paths of `length` vertices, one orientation each."""
-    out = []
-
-    def extend(walk: list[int], used: set[int]):
-        if len(walk) == length:
-            if walk[0] < walk[-1]:
-                out.append(tuple(walk))
-            return
-        for w in g.adjacency[walk[-1]]:
-            if w not in used:
-                used.add(w)
-                walk.append(w)
-                extend(walk, used)
-                walk.pop()
-                used.remove(w)
-
-    for start in range(g.n):
-        extend([start], {start})
-    return out
+    return FrequencyVector(counts=f, null_total=q * q - sum(f.values()))
 
 
 @dataclass(frozen=True)

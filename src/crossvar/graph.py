@@ -42,8 +42,6 @@ MAX_VERTICES = 1 << 25
 
 # numpy sums of products of degrees run in int64 only below this bound
 _INT64_SAFE = 1 << 62
-# float64 adds integers exactly while every partial sum stays below this bound
-_FLOAT64_EXACT = 1 << 53
 
 
 class Graph:
@@ -285,23 +283,17 @@ def degree_aggregates(g: Graph) -> DegreeAggregates:
 
     ``xi`` is gathered from the edges, each adding the degree of one end to
     the other, so the adjacency rows are not needed.  The gather adds
-    float64 weights, exact while every partial sum stays below 2^53; each
-    ``xi_s <= 2m`` and ``2m < n**2 <= 2^50`` under :data:`MAX_VERTICES`,
-    and a larger ``m`` would take an int64 scatter instead.  Every summed
-    term is at most ``kmax**4``, as ``xi <= kmax**2``, so the reductions
-    run in int64 when ``n * kmax**4`` stays below 2^62, and otherwise on
-    exact Python ints in object arrays.
+    float64 weights, exact while every partial sum stays below 2^53, as it
+    always does: each ``xi_s <= 2m`` and ``2m < n**2 <= 2^50`` under
+    :data:`MAX_VERTICES`.  Every summed term is at most ``kmax**4``, as
+    ``xi <= kmax**2``, so the reductions run in int64 when ``n * kmax**4``
+    stays below 2^62, and otherwise on exact Python ints in object arrays.
     """
     k, u, v = g.degree_array, g.edge_u, g.edge_v
-    if 2 * g.m < _FLOAT64_EXACT:
-        weight = k.astype(np.float64)
-        xi = np.bincount(u, weights=weight[v], minlength=g.n)
-        xi += np.bincount(v, weights=weight[u], minlength=g.n)
-        xi = xi.astype(np.int64)
-    else:
-        xi = np.zeros(g.n, dtype=np.int64)
-        np.add.at(xi, u, k[v])
-        np.add.at(xi, v, k[u])
+    weight = k.astype(np.float64)
+    xi = np.bincount(u, weights=weight[v], minlength=g.n)
+    xi += np.bincount(v, weights=weight[u], minlength=g.n)
+    xi = xi.astype(np.int64)
     if g.n * int(k.max(initial=0)) ** 4 >= _INT64_SAFE:
         k, xi = k.astype(object), xi.astype(object)
     k2 = k * k

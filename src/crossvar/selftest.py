@@ -74,10 +74,9 @@ class SelftestReport:
         return not self.failures
 
 
-def check_frequencies(name: str, g: Graph, report: SelftestReport, brute=None) -> None:
-    """Three independent routes to the type frequencies must agree."""
-    if brute is None:
-        brute = frequencies_brute(g)
+def check_frequencies(name: str, g: Graph, report: SelftestReport, brute) -> None:
+    """Three independent routes to the type frequencies must agree;
+    ``brute`` is :func:`frequencies_brute` of ``g``."""
     census = frequencies_from_census(fast_census(g), g.m)
     patterns = frequencies_from_subgraph_counts(g, limit=g.n)
     q = compute_q(g)
@@ -96,11 +95,10 @@ def check_frequencies(name: str, g: Graph, report: SelftestReport, brute=None) -
         report.failures.append(f"{name}: sum of frequencies {brute.total()} != q^2 {q * q}")
 
 
-def check_variances(name: str, g: Graph, report: SelftestReport, brute=None) -> None:
-    """All variance routes must produce one exact rational."""
+def check_variances(name: str, g: Graph, report: SelftestReport, brute) -> None:
+    """All variance routes must produce one exact rational; ``brute`` is
+    :func:`frequencies_brute` of ``g``."""
     table = builtin_rla_table()
-    if brute is None:
-        brute = frequencies_brute(g)
     routes = {
         "naive": variance_from_frequencies(brute, table),
         "patterns": variance_from_frequencies(

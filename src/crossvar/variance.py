@@ -49,11 +49,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_decimal(x: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with the given number of significant digits."""
+def rational_decimal(x: Fraction) -> str:
+    """Decimal rendering with 12 significant digits."""
     if x == 0:
         return "0"
-    return f"{float(x):.{digits}g}"
+    return f"{float(x):.12g}"
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,13 @@ def _result(
 
 
 def variance_naive(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
-    """Reference route: classify every ordered pair of Q elements."""
+    """Reference route: classify every ordered pair of Q elements.
+
+    Raises :class:`crossvar.errors.OracleBudgetError` over the
+    classification's budget, :data:`crossvar.frequencies.PAIR_BUDGET`.
+    """
     table = table or builtin_rla_table()
-    freq = frequencies_brute(g, pair_budget=None)
+    freq = frequencies_brute(g)
     return _result(compute_q(g), variance_from_frequencies(freq, table), "naive", table)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 import crossvar
 from crossvar.census import fast_census
 from crossvar.cli import main
-from crossvar.frequencies import builtin_rla_table
+from crossvar.frequencies import PAIR_BUDGET, builtin_rla_table
 from crossvar.generators import erdos_renyi, random_tree
+from crossvar.graph import compute_q
 from crossvar.variance import compute_variance
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0\n"
@@ -101,6 +103,15 @@ class TestVariance:
             assert main(["variance", c4_file, "--algorithm", algo, "--json"]) == 0
             values.append(json.loads(capsys.readouterr().out)["variance"])
         assert values == ["2/9"] * 4
+
+    def test_naive_over_the_pair_budget_exits_2_at_once(self, sparse_er, tmp_path, capsys):
+        path = write_graph(tmp_path / "sparse.txt", sparse_er)
+        start = time.perf_counter()
+        assert main(["variance", path, "--algorithm", "naive"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"q^2 = {compute_q(sparse_er) ** 2}" in err
+        assert f"budget of {PAIR_BUDGET}" in err
 
     def test_layout_table_file(self, c4_file, tmp_path, capsys):
         table = tmp_path / "rla.table"

@@ -1,18 +1,19 @@
 """Product-type classification and the three frequency routes."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossvar import brute
+from crossvar import brute, frequencies
 from crossvar.brute import independent_edge_pairs
 from crossvar.census import fast_census
-from crossvar.errors import ValidationError
+from crossvar.errors import OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
+    PAIR_BUDGET,
     PRODUCT_TYPES,
-    TAU_PHI,
     builtin_rla_table,
     classify_pair,
     frequencies_brute,
@@ -22,6 +23,7 @@ from crossvar.frequencies import (
 )
 from crossvar.generators import complete, cycle, erdos_renyi, one_regular, path
 from crossvar.graph import Graph, compute_q
+from crossvar.variance import variance_naive
 
 
 class TestClassifyPair:
@@ -46,11 +48,6 @@ class TestClassifyPair:
     def test_rejects_sharing_endpoint(self):
         with pytest.raises(ValidationError):
             classify_pair(((0, 1), (1, 2)), ((3, 4), (5, 6)))
-
-    @pytest.mark.parametrize("code", PRODUCT_TYPES)
-    def test_tau_phi_consistency(self, code):
-        tau, phi = TAU_PHI[code]
-        assert 0 <= tau <= 2 and 0 <= phi <= 4
 
 
 def classify_all_pairs_reference(g):
@@ -85,13 +82,21 @@ def test_three_routes_agree(g):
     assert brute.total() == census.total() == compute_q(g) ** 2
 
 
-def test_null_type_split():
-    g = one_regular(8)  # 4 disjoint edges
-    got = frequencies_from_subgraph_counts(g, limit=8, count_null_types=True)
-    # 3 unordered 4-matchings in a 4-matching graph... exactly one, seen 6 ways
-    assert got.f00 == 6
-    assert got.f01 == 0
-    assert got.counts["12"] == 6 * 4  # four 3-matchings
+class TestPairBudget:
+    def test_refused_before_any_pair_is_listed(self, sparse_er):
+        with mock.patch.object(
+            frequencies, "independent_edge_pairs", wraps=independent_edge_pairs
+        ) as listed:
+            for oracle in (frequencies_brute, variance_naive):
+                with pytest.raises(OracleBudgetError, match=rf"q\^2 = \d+ .* {PAIR_BUDGET}"):
+                    oracle(sparse_er)
+        assert listed.call_count == 0
+
+    def test_contract_and_corpus_fit_the_budget(self, full_corpus):
+        # acceptance criterion 7 times variance_naive on G(40, 1/2)
+        assert compute_q(erdos_renyi(40, 0.5, seed=1)) ** 2 <= PAIR_BUDGET
+        for name, g in full_corpus:
+            assert compute_q(g) ** 2 <= PAIR_BUDGET, name
 
 
 def test_three_matchings_coefficient():
@@ -174,15 +179,6 @@ p_24 = 1/3
         text = self.RLA_TEXT.replace("p_00 = 1/9", "p_00 = 1/8")
         with pytest.raises(ValidationError, match="00"):
             load_layout_table(text)
-
-
-def test_frequency_vector_getitem():
-    g = path(5)
-    got = frequencies_brute(g)
-    assert got["24"] == compute_q(g)
-    assert got["00"] == got.f00
-    with pytest.raises(KeyError):
-        frequencies_from_census(fast_census(g), g.m)["00"]
 
 
 def test_complete_graph_has_no_six_vertex_types():
