@@ -374,12 +374,12 @@ def chebyshev_pvalue_bound(
     dev = Fraction(crossings) - expectation
     if dev == 0:
         return Fraction(1)
+    if (side == "upper" and dev < 0) or (side == "lower" and dev > 0):
+        # the observed value is on the wrong side; the bound is vacuous
+        return Fraction(1)
     if variance == 0:
         # deviation from a point mass: the event has probability zero
         return Fraction(0)
     if side == "two_sided":
         return min(Fraction(1), variance / (dev * dev))
-    if (side == "upper" and dev < 0) or (side == "lower" and dev > 0):
-        # the observed value is on the wrong side; the bound is vacuous
-        return Fraction(1)
     return variance / (variance + dev * dev)

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .arrangements import validate_arrangement
 from .census import CensusReport
-from .errors import InternalInconsistencyError, OracleBudgetError
+from .errors import InternalInconsistencyError, OracleBudgetError, ValidationError
 from .graph import Graph
 
 DEFAULT_ORACLE_LIMIT = 12
@@ -127,7 +127,7 @@ def simple_walks(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
     Each path is yielded twice, once walked from each end.
     """
     if length < 2:
-        raise ValueError("paths need at least 2 vertices")
+        raise ValidationError("paths need at least 2 vertices")
 
     def extend(walk: list[int], used: set[int]):
         if len(walk) == length:

@@ -126,7 +126,7 @@ def cmd_zscore(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = run_selftest(max_n=args.max_n, er_seeds=args.er_seeds, full=not args.quick)
+    report = run_selftest(full=not args.quick)
     payload = {
         "graphs_checked": report.graphs_checked,
         "comparisons": report.comparisons,
@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.set_defaults(fn=cmd_zscore)
 
     p_self = sub.add_parser("selftest", help="run the built-in equality suite")
-    p_self.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p_self.add_argument("--er-seeds", type=int, default=5, dest="er_seeds")
     p_self.add_argument("--quick", action="store_true", help="skip the slow ensembles")
     p_self.add_argument("--json", action="store_true")
     p_self.set_defaults(fn=cmd_selftest)

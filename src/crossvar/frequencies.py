@@ -13,7 +13,10 @@ the enumerators of :mod:`crossvar.brute`, and
 first two are oracles, and each checks its budget, a constant, before any
 work: :func:`frequencies_brute` refuses more than :data:`PAIR_BUDGET` =
 2^33 ordered pairs, with q^2 taken from the degrees, and pattern counting
-refuses more than ``max(limit, 25)`` vertices.
+refuses more than :data:`PATTERN_LIMIT` = 25 vertices.  The pair
+classification reads one bitmask of vertices per edge: it counts shared
+vertices by popcount and tells the two subtypes of the (0, 2) pairs apart
+by comparing masks.
 """
 
 from __future__ import annotations
@@ -105,11 +108,15 @@ PAIR_BUDGET = 2**33
 def frequencies_brute(g: Graph) -> FrequencyVector:
     """Classify every ordered pair of Q elements.
 
-    The classification itself is pure definition chasing (count shared
-    edges and shared vertices per pair) but is evaluated with vectorized
-    comparisons so the oracle stays usable on mid-size graphs.  A graph
-    with more than :data:`PAIR_BUDGET` ordered pairs is refused from its
-    degrees, before any pair is listed.
+    The classification itself is pure definition chasing, evaluated with
+    vectorized comparisons so the oracle stays usable on mid-size graphs.
+    Each edge of an element gets a bitmask of its two ends, one bit per
+    vertex in ``ceil(n/64)`` words, and the element's mask is the OR of its
+    two.  Shared vertices are the popcount of two element masks, shared
+    edges are equal edge keys, and a pair sharing two vertices and no edge
+    is of type 021 exactly when the shared vertices make up one of the four
+    edges.  A graph with more than :data:`PAIR_BUDGET` ordered pairs is
+    refused from its degrees, before any pair is listed.
     """
     q2 = compute_q(g) ** 2
     if q2 > PAIR_BUDGET:
@@ -124,24 +131,22 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
     if q > 1:
         n = g.n
         n_words = (n + 63) // 64
-        verts = np.empty((q, 4), dtype=np.int64)
-        ekeys = np.empty((q, 2), dtype=np.int64)
-        masks = np.zeros((q, n_words), dtype=np.uint64)
-        one = np.uint64(1)
-        for i, ((s, t), (u, v)) in enumerate(pairs):
-            verts[i] = (s, t, u, v)
-            ekeys[i] = (s * n + t, u * n + v)
-            for x in (s, t, u, v):
-                masks[i, x >> 6] |= one << np.uint64(x & 63)
+        ends = np.array(pairs, dtype=np.int64).reshape(q, 4)  # s, t, u, v
+        ekeys = ends[:, 0::2] * n + ends[:, 1::2]
+        # edge_masks[i, k] marks the ends of edge k of element i; one end
+        # at a time, so that two ends in one word cannot overwrite each other
+        edge_masks = np.zeros((q, 2, n_words), dtype=np.uint64)
+        element, edge = np.arange(q)[:, None], np.arange(2)
+        for x in (ends[:, 0::2], ends[:, 1::2]):
+            edge_masks[element, edge, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)
+        masks = edge_masks[:, 0] | edge_masks[:, 1]
 
         chunk = max(1, 16_000_000 // q)
         for i0 in range(0, q - 1, chunk):
             i1 = min(i0 + chunk, q - 1)
             rows = np.arange(i0, i1)
             cols0 = i0 + 1  # only columns j > i0 can satisfy j > i
-            ve_r = verts[rows]
             ek_r = ekeys[rows]
-            ve_c = verts[cols0:]
             ek_c = ekeys[cols0:]
             # shared vertices by popcount of intersecting endpoint bitmasks
             phi = np.zeros((len(rows), q - cols0), dtype=np.int8)
@@ -172,25 +177,16 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
             freq["12"] += 2 * int(counts[5 + 2])
             freq["13"] += 2 * int(counts[5 + 3])
 
-            # disambiguate the (0, 2) cells
+            # the (0, 2) cells: subtype 1 when the two shared vertices are
+            # one edge of either element, subtype 2 otherwise
             r_idx, c_idx = np.nonzero(code == 2)
-            if r_idx.size:
-                v1 = ve_r[r_idx]
-                v2 = ve_c[c_idx]
-                eq = v1[:, :, None] == v2[:, None, :]
-                m1 = eq.any(axis=2)  # exactly two shared positions in v1
-                a = m1.argmax(axis=1)
-                b = 3 - m1[:, ::-1].argmax(axis=1)
-                idx = np.arange(r_idx.size)
-                va, vb = v1[idx, a], v1[idx, b]
-                key = np.minimum(va, vb) * n + np.maximum(va, vb)
-                is_sub1 = (
-                    (key[:, None] == ek_r[r_idx]).any(axis=1)
-                    | (key[:, None] == ek_c[c_idx]).any(axis=1)
-                )
-                n1 = int(is_sub1.sum())
-                freq["021"] += 2 * n1
-                freq["022"] += 2 * (r_idx.size - n1)
+            r_idx += i0
+            c_idx += cols0
+            shared = masks[r_idx] & masks[c_idx]
+            four_edges = np.concatenate((edge_masks[r_idx], edge_masks[c_idx]), axis=1)
+            n1 = int((shared[:, None, :] == four_edges).all(axis=2).any(axis=1).sum())
+            freq["021"] += 2 * n1
+            freq["022"] += 2 * (r_idx.size - n1)
 
     if sum(freq.values()) != q * q:
         raise InternalInconsistencyError("classified pair count does not equal q^2")
@@ -235,15 +231,23 @@ def frequencies_from_census(c, m: int) -> FrequencyVector:
     return FrequencyVector(counts=f, null_total=null_total)
 
 
-def frequencies_from_subgraph_counts(g: Graph, limit: int = 20) -> FrequencyVector:
+#: most vertices :func:`frequencies_from_subgraph_counts` takes; the
+#: selftest corpus, and so acceptance criteria 1 and 2, stop at n = 20
+PATTERN_LIMIT = 25
+
+
+def frequencies_from_subgraph_counts(g: Graph, limit: int = PATTERN_LIMIT) -> FrequencyVector:
     """Type counts as pattern multiplicity times brute subgraph count.
 
     Patterns are counted by explicit enumeration (edges, walks, subsets),
     independent from both the pair classification and the closed forms.
-    The two null types are reported jointly via the q^2 complement.
+    The two null types are reported jointly via the q^2 complement.  A
+    graph with more than ``min(limit, PATTERN_LIMIT)`` vertices is refused
+    before any pattern is listed, so ``limit`` can only lower the cap.
     """
-    if g.n > max(limit, 25):
-        raise OracleBudgetError(f"pattern counting limited to n <= {max(limit, 25)}")
+    cap = min(limit, PATTERN_LIMIT)
+    if g.n > cap:
+        raise OracleBudgetError(f"pattern counting limited to n <= {cap}")
 
     edges = list(g.edges())
     q_pairs = independent_edge_pairs(g)

@@ -28,7 +28,7 @@ from .variance import (
 )
 
 
-def corpus(max_n: int = 12, er_seeds: int = 5, full: bool = True):
+def corpus(max_n: int = 12, full: bool = True):
     """Yield (name, graph) over the standard test families.
 
     ``full`` includes the Erdos-Renyi ensemble and the free-tree sweep;
@@ -57,7 +57,7 @@ def corpus(max_n: int = 12, er_seeds: int = 5, full: bool = True):
                 yield f"tree-{n}-{i}", t
         for n in range(10, 21):
             for p in (0.1, 0.2, 0.5):
-                for seed in range(er_seeds):
+                for seed in range(5):
                     yield f"er-{n}-{p}-{seed}", gen.erdos_renyi(n, p, seed=seed)
 
 
@@ -74,11 +74,11 @@ class SelftestReport:
         return not self.failures
 
 
-def check_frequencies(name: str, g: Graph, report: SelftestReport, brute) -> None:
+def check_frequencies(name: str, g: Graph, report: SelftestReport, brute, patterns) -> None:
     """Three independent routes to the type frequencies must agree;
-    ``brute`` is :func:`frequencies_brute` of ``g``."""
+    ``brute`` and ``patterns`` are :func:`frequencies_brute` and
+    :func:`frequencies_from_subgraph_counts` of ``g``."""
     census = frequencies_from_census(fast_census(g), g.m)
-    patterns = frequencies_from_subgraph_counts(g, limit=g.n)
     q = compute_q(g)
     for code in CONTRIBUTING_TYPES:
         report.comparisons += 2
@@ -95,15 +95,13 @@ def check_frequencies(name: str, g: Graph, report: SelftestReport, brute) -> Non
         report.failures.append(f"{name}: sum of frequencies {brute.total()} != q^2 {q * q}")
 
 
-def check_variances(name: str, g: Graph, report: SelftestReport, brute) -> None:
-    """All variance routes must produce one exact rational; ``brute`` is
-    :func:`frequencies_brute` of ``g``."""
+def check_variances(name: str, g: Graph, report: SelftestReport, brute, patterns) -> None:
+    """All variance routes must produce one exact rational; ``brute`` and
+    ``patterns`` are the frequencies :func:`check_frequencies` takes."""
     table = builtin_rla_table()
     routes = {
         "naive": variance_from_frequencies(brute, table),
-        "patterns": variance_from_frequencies(
-            frequencies_from_subgraph_counts(g, limit=g.n), table
-        ),
+        "patterns": variance_from_frequencies(patterns, table),
         "general": variance_general(g, table).variance,
         "reuse": variance_general_reuse(g, table).variance,
         "closed": variance_rla_closed(g).variance,
@@ -119,11 +117,12 @@ def check_variances(name: str, g: Graph, report: SelftestReport, brute) -> None:
             )
 
 
-def run_selftest(max_n: int = 12, er_seeds: int = 5, full: bool = True) -> SelftestReport:
+def run_selftest(full: bool = True) -> SelftestReport:
     report = SelftestReport()
-    for name, g in corpus(max_n=max_n, er_seeds=er_seeds, full=full):
+    for name, g in corpus(full=full):
         brute = frequencies_brute(g)
-        check_frequencies(name, g, report, brute=brute)
-        check_variances(name, g, report, brute=brute)
+        patterns = frequencies_from_subgraph_counts(g)
+        check_frequencies(name, g, report, brute, patterns)
+        check_variances(name, g, report, brute, patterns)
         report.graphs_checked += 1
     return report

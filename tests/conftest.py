@@ -17,7 +17,7 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def full_corpus():
     """The complete acceptance corpus (ER ensemble, free trees, families)."""
-    return list(corpus(max_n=12, er_seeds=5, full=True))
+    return list(corpus(max_n=12, full=True))
 
 
 @pytest.fixture(scope="session")

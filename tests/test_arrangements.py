@@ -327,6 +327,10 @@ class TestZscore:
         with pytest.raises(DegenerateStatisticsError):
             zscore(0, Fraction(0), Fraction(0))
 
+    def test_negative_variance_raises(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            zscore(0, Fraction(1), Fraction(-1))
+
 
 class TestChebyshev:
     def test_c4_two_sided(self):
@@ -352,3 +356,16 @@ class TestChebyshev:
     def test_bad_side(self):
         with pytest.raises(ValidationError):
             chebyshev_pvalue_bound(2, Fraction(1), Fraction(1), side="both")
+
+    @pytest.mark.parametrize("crossings,side,expected", [
+        (3, "lower", 1), (3, "upper", 0), (0, "upper", 1), (0, "lower", 0),
+        (3, "two_sided", 0), (0, "two_sided", 0),
+    ])
+    def test_point_mass(self, crossings, side, expected):
+        # with variance 0 the count is always 1: C >= 3 and C <= 0 never
+        # happen, while C <= 3 and C >= 0 always do
+        assert chebyshev_pvalue_bound(crossings, Fraction(1), Fraction(0), side) == expected
+
+    def test_negative_variance_raises(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            chebyshev_pvalue_bound(2, Fraction(1), Fraction(-1))

@@ -16,6 +16,7 @@ from crossvar.census import (
     count_paw,
     fast_census,
 )
+from crossvar.errors import ValidationError
 from crossvar.generators import complete, cycle, erdos_renyi, path, star
 from crossvar.graph import Graph
 
@@ -143,6 +144,10 @@ class TestCountsAgainstBrute:
     ], ids=["K5", "K6", "C6", "P7", "S7"])
     def test_named_graphs(self, g):
         assert fast_census(g) == brute.brute_census(g)
+
+    def test_paths_need_two_vertices(self):
+        with pytest.raises(ValidationError, match="at least 2"):
+            brute.count_simple_paths(path(3), 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,6 +54,13 @@ class TestStats:
         assert payload["census"]["nC4"] == 1
         assert payload["expectation_rla"] == "2/3"
 
+    def test_text_output(self, c4_file, capsys):
+        assert main(["stats", c4_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["n = 4", "m = 4", "census:"]
+        assert "  q = 2" in lines and "  nC4 = 1" in lines
+        assert "expectation_rla = 2/3" in lines
+
     def test_isolated_vertices(self, tmp_path, capsys):
         p = tmp_path / "empty.txt"
         p.write_text("n=3\n")
@@ -175,7 +182,7 @@ class TestZscore:
 
 class TestSelftest:
     def test_quick_run_passes(self, capsys):
-        assert main(["selftest", "--quick", "--max-n", "8", "--json"]) == 0
+        assert main(["selftest", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["failures"] == []
 
@@ -186,14 +193,16 @@ class TestSelftest:
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         )}
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "crossvar.cli", "selftest", "--quick", "--max-n", "8"],
+            [sys.executable, "-O", "-m", "crossvar.cli", "selftest", "--quick"],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_seed_flag_is_gone(self):
-        with pytest.raises(SystemExit):
-            main(["selftest", "--quick", "--seed", "3"])
+        # the corpus is fixed: no seed, size cap or ensemble size to set
+        for flag in (["--seed", "3"], ["--max-n", "8"], ["--er-seeds", "2"]):
+            with pytest.raises(SystemExit):
+                main(["selftest", "--quick", *flag])
 
 
 class TestCommands:

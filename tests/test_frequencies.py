@@ -13,6 +13,7 @@ from crossvar.errors import OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
     PAIR_BUDGET,
+    PATTERN_LIMIT,
     PRODUCT_TYPES,
     builtin_rla_table,
     classify_pair,
@@ -65,10 +66,15 @@ def classify_all_pairs_reference(g):
 def test_vectorized_classification_matches_reference(seed):
     g = erdos_renyi(8, 0.45, seed=seed)
     ref = classify_all_pairs_reference(g)
-    got = frequencies_brute(g)
-    for code in CONTRIBUTING_TYPES:
-        assert got.counts[code] == ref[code]
-    assert got.f00 == ref["00"] and got.f01 == ref["01"]
+    # the same graph on ids spread over 0..129, so each mask takes three
+    # words, with each bit position used in more than one word
+    ids = [0, 1, 30, 64, 65, 94, 128, 129]
+    spread = Graph(130, [(ids[u], ids[v]) for u, v in g.edges()])
+    for h in (g, spread):
+        got = frequencies_brute(h)
+        for code in CONTRIBUTING_TYPES:
+            assert got.counts[code] == ref[code]
+        assert got.f00 == ref["00"] and got.f01 == ref["01"]
 
 
 @pytest.mark.parametrize("g", [
@@ -97,6 +103,17 @@ class TestPairBudget:
         assert compute_q(erdos_renyi(40, 0.5, seed=1)) ** 2 <= PAIR_BUDGET
         for name, g in full_corpus:
             assert compute_q(g) ** 2 <= PAIR_BUDGET, name
+
+
+def test_pattern_limit_is_checked_before_any_work():
+    # limit can only lower the cap of PATTERN_LIMIT vertices
+    for g, limit in ((path(PATTERN_LIMIT + 1), PATTERN_LIMIT + 1), (path(6), 5)):
+        with mock.patch.object(
+            frequencies, "independent_edge_pairs", wraps=independent_edge_pairs
+        ) as listed:
+            with pytest.raises(OracleBudgetError, match=rf"n <= {min(limit, PATTERN_LIMIT)}"):
+                frequencies_from_subgraph_counts(g, limit=limit)
+        assert listed.call_count == 0
 
 
 def test_three_matchings_coefficient():
