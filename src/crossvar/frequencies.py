@@ -162,10 +162,12 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
                 ek_r[:, 1][:, None] == ek_c[None, :, 1]
             )
             tau = e1.astype(np.int8) + e2.astype(np.int8)
+            # the cells on or below the diagonal are coded 15, a bin no pair
+            # reaches, so the whole matrix is counted without compressing it
             upper = rows[:, None] < np.arange(cols0, q)[None, :]
-            code = np.where(upper, tau * 5 + phi, -1)
+            code = np.where(upper, tau * 5 + phi, 15)
 
-            counts = np.bincount(code[code >= 0].ravel(), minlength=15)
+            counts = np.bincount(code.ravel(), minlength=16)
             if counts[5 + 4]:  # tau == 1, phi == 4 is impossible for distinct pairs
                 raise InternalInconsistencyError("impossible (tau, phi) = (1, 4) seen")
             if counts[10 + 4]:

@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest import mock
 
 import numpy as np
@@ -293,6 +293,26 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak <= 2 * arrangements._SWEEP_BYTES
 
+    def test_whole_call_stays_near_the_sweep_budget_plus_the_samples(self):
+        # one workspace and one row buffer for all chunks of the call, beside
+        # the int64 results: no chunk's arrays outlive it or pile up
+        rnd = random.Random(0)
+        g = Graph(64, rnd.sample(list(combinations(range(64), 2)), 128))
+        samples = 8192
+        tracemalloc.start()
+        try:
+            monte_carlo(g, samples, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * arrangements._SWEEP_BYTES + 8 * samples
+
+    def test_refuses_too_many_samples_before_allocating(self):
+        with mock.patch("numpy.empty", side_effect=AssertionError("allocated")) as empty:
+            with pytest.raises(ValidationError, match="at most 134217728"):
+                monte_carlo(path(4), arrangements.MAX_SAMPLES + 1, seed=0)
+        empty.assert_not_called()
+
     def test_seed_changes_stream(self):
         g = cycle(5)
         assert monte_carlo(g, 2000, seed=1) != monte_carlo(g, 2000, seed=2)
@@ -369,3 +389,68 @@ class TestChebyshev:
     def test_negative_variance_raises(self):
         with pytest.raises(ValidationError, match="non-negative"):
             chebyshev_pvalue_bound(2, Fraction(1), Fraction(-1))
+
+
+_EMPTY = np.empty
+
+
+def _dirty_empty(*args, **kwargs):
+    """``np.empty`` whose every byte is 0xA5, so that a read before a write
+    shows, even where fresh pages would read as zeros."""
+    a = _EMPTY(*args, **kwargs)
+    a.reshape(-1).view(np.uint8).fill(0xA5)
+    return a
+
+
+_RANDOM_PAIRS = random.Random(9)
+_INT64_ENDS = _RANDOM_PAIRS.sample(range(2**15 + 1), 30)
+
+
+class TestWorkspace:
+    """A call counts all its chunks in one workspace, so no chunk may depend
+    on what the chunk before it, or the allocator, left there."""
+
+    @pytest.mark.parametrize("g", [
+        # 22 edges: a leaf of 8 and keys padded to 32
+        Graph(12, _RANDOM_PAIRS.sample(list(combinations(range(12), 2)), 22)),
+        # the row sort keys lo·2^s − hi need int64 above n = 2^15
+        Graph(2**15 + 1, _RANDOM_PAIRS.sample(list(combinations(_INT64_ENDS, 2)), 21)),
+    ], ids=["padded-keys", "int64-keys"])
+    @pytest.mark.parametrize("cap", [1, 2000, None])
+    def test_chunks_match_an_uncapped_call_and_the_oracle(self, g, cap):
+        # 11 rows: with the cap, chunks of one or three rows, the last one
+        # partial; uncapped, fewer rows than one chunk (padded keys) or
+        # chunks of five rows and a partial last one (int64 keys)
+        samples, seed = 11, 3
+        rng = np.random.default_rng(seed)
+        pos = rng.permuted(np.tile(np.arange(g.n, dtype=np.int64), (samples, 1)), axis=1)
+        values = np.array([count_crossings_brute(g, np.argsort(row).tolist()) for row in pos])
+        drawn = MonteCarloResult(
+            samples=samples,
+            mean=float(values.mean()),
+            variance=float(values.var(ddof=1)),
+            minimum=int(values.min()),
+            maximum=int(values.max()),
+        )
+        uncapped = arrangements._positions_to_crossings(g, pos)
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap or arrangements._SWEEP_BYTES), \
+                mock.patch("numpy.empty", _dirty_empty):
+            got = arrangements._positions_to_crossings(g, pos)
+            result = monte_carlo(g, samples, seed=seed)
+        assert got.tolist() == uncapped.tolist() == values.tolist()
+        assert result == drawn
+
+    @pytest.mark.parametrize("cap", [1, 2000])
+    def test_exhaustive_chunks_match_an_uncapped_call_and_the_oracle(self, cap):
+        # 11 edges among 7 vertices: keys padded to 16; 5040 rows in chunks
+        # of one or five rows
+        g = Graph(7, random.Random(5).sample(list(combinations(range(7), 2)), 11))
+        expected = exhaustive_distribution(g)
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap), \
+                mock.patch("numpy.empty", _dirty_empty):
+            assert exhaustive_distribution(g) == expected
+        oracle = {}
+        for pos in permutations(range(g.n)):
+            value = count_crossings_brute(g, np.argsort(pos).tolist())
+            oracle[value] = oracle.get(value, 0) + 1
+        assert expected.counts == oracle
