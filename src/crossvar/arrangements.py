@@ -29,8 +29,9 @@ depends on which half each value came from, not on its place within the
 half, so every level sorts its blocks whole and inherits no order from
 the level below.  Sorting the blocks makes a count O(m log² m) time and
 O(n + m) memory.  One numpy kernel runs it,
-vectorised across edges and arrangements at once: ``count_crossings``
-on one row, Monte Carlo and exhaustive enumeration on chunks of rows.
+vectorised across edges and arrangements at once, and one driver,
+``_count_rows``, feeds it rows: ``count_crossings`` fills one row, Monte
+Carlo and exhaustive enumeration fill chunks of rows.
 Ends, right ends and merge keys are int32, as every key is below
 ``2n <= 2^26``.  A call counts all its chunks in one workspace of int32
 planes, allocated once for up to ``_chunk_rows(g)`` rows and written in
@@ -58,7 +59,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph
+from .graph import Graph, vertex_ids
 
 #: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
@@ -84,10 +85,7 @@ def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[
 def _arrangement_ids(g: Graph, order) -> np.ndarray:
     """``order`` as an int64 array, checked as :func:`validate_arrangement`
     describes."""
-    try:
-        ids = np.fromiter(map(operator.index, order), dtype=np.int64)
-    except (TypeError, OverflowError):
-        raise ValidationError("arrangement must list integer vertex ids") from None
+    ids = vertex_ids(order, "arrangement entries")
     outside = (ids < 0) | (ids >= g.n)
     if outside.any():
         raise ValidationError(
@@ -104,7 +102,8 @@ def _arrangement_ids(g: Graph, order) -> np.ndarray:
 
 
 def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
-    """One whitespace-separated line of vertex ids; '#' starts a comment."""
+    """Vertex ids separated by whitespace, across any number of lines;
+    '#' starts a comment."""
     tokens = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -128,9 +127,11 @@ def count_crossings(g: Graph, order) -> int:
     O(n + m) memory.
     """
     ids = _arrangement_ids(g, order)
-    pos = np.empty((1, g.n), dtype=np.int64)
-    pos[0, ids] = np.arange(g.n)
-    return int(_positions_to_crossings(g, pos)[0])
+
+    def fill(rows, start):
+        rows[0, ids] = np.arange(g.n)
+
+    return int(_count_rows(g, 1, fill)[0])
 
 
 def _chunk_rows(g: Graph) -> int:
@@ -162,17 +163,31 @@ def _layout(m: int) -> tuple[int, int, np.dtype, int]:
 def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing counts for a batch of arrangements given as position rows.
 
-    ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.  The
-    rows are counted in chunks of ``_chunk_rows(g)`` in one workspace, so
-    memory is O(rows·(n + m)) for small batches and bounded for large ones.
+    ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.
     """
-    pos = np.ascontiguousarray(pos, dtype=np.int64)
-    rows = len(pos)
-    out = np.empty(rows, dtype=np.int64)
-    step = max(1, min(rows, _chunk_rows(g)))
+
+    def fill(rows, start):
+        rows[...] = pos[start:start + len(rows)]
+
+    return _count_rows(g, len(pos), fill)
+
+
+def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
+    """The crossing counts of ``total`` arrangements, as an int64 array.
+
+    The rows are counted in chunks of up to ``_chunk_rows(g)``, all in one
+    workspace and one int64 row buffer, so memory is O(rows·(n + m)) for
+    small batches and bounded for large ones.  ``fill(rows, start)`` writes
+    the position rows ``start`` to ``start + len(rows)`` into ``rows``.
+    """
+    step = max(1, min(total, _chunk_rows(g)))
     count = _crossing_counter(g, step)
-    for start in range(0, rows, step):
-        count(pos[start:start + step], out[start:start + step])
+    pos = np.empty((step, g.n), dtype=np.int64)
+    out = np.empty(total, dtype=np.int64)
+    for start in range(0, total, step):
+        rows = pos[:min(step, total - start)]
+        fill(rows, start)
+        count(rows, out[start:start + len(rows)])
     return out
 
 
@@ -316,21 +331,13 @@ def exhaustive_distribution(g: Graph) -> ExactDistribution:
             f"exhaustive distribution limited to n <= {EXHAUSTIVE_LIMIT} (got n={g.n})"
         )
     total = math.factorial(g.n)
-    if g.m < 2:
-        counts = {0: total}
-    else:
-        counts = {}
-        perm_iter = permutations(range(g.n))
-        step = min(total, _chunk_rows(g))
-        count = _crossing_counter(g, step)
-        pos = np.empty((step, g.n), dtype=np.int64)
-        values = np.empty(step, dtype=np.int64)
-        while block := list(islice(perm_iter, step)):
-            rows = len(block)
-            pos[:rows] = block
-            count(pos[:rows], values[:rows])
-            for value, times in zip(*np.unique(values[:rows], return_counts=True)):
-                counts[int(value)] = counts.get(int(value), 0) + int(times)
+    perm_iter = permutations(range(g.n))
+
+    def fill(rows, start):
+        rows[...] = list(islice(perm_iter, len(rows)))
+
+    values, times = np.unique(_count_rows(g, total, fill), return_counts=True)
+    counts = dict(zip(values.tolist(), times.tolist()))
     if sum(counts.values()) != total:
         raise InternalInconsistencyError("crossing counts do not cover all n! arrangements")
     s1 = sum(v * c for v, c in counts.items())
@@ -378,16 +385,13 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
             f"samples must be at most {MAX_SAMPLES} (2^27), got {samples}"
         )
     rng = np.random.default_rng(seed)
-    values = np.empty(samples, dtype=np.int64)
-    step = min(samples, _chunk_rows(g))
-    count = _crossing_counter(g, step)
-    pos = np.empty((step, g.n), dtype=np.int64)
     base = np.arange(g.n, dtype=np.int64)
-    for done in range(0, samples, step):
-        rows = pos[:min(step, samples - done)]
+
+    def draw(rows, start):
         rows[...] = base
         rng.permuted(rows, axis=1, out=rows)
-        count(rows, values[done:done + len(rows)])
+
+    values = _count_rows(g, samples, draw)
     return MonteCarloResult(
         samples=samples,
         mean=float(values.mean()),

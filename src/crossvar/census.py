@@ -306,28 +306,3 @@ def forest_census(g: Graph) -> CensusReport:
     if not g.is_forest():
         raise NotAForestError("graph contains a cycle")
     return reduce_census(g, 0, 0, 0)
-
-
-def count_paths4(g: Graph) -> int:
-    """Number of subgraphs isomorphic to the 4-vertex path."""
-    return fast_census(g).nP4
-
-
-def count_paths5(g: Graph) -> int:
-    """Number of subgraphs isomorphic to the 5-vertex path."""
-    return fast_census(g).nP5
-
-
-def count_cycles4(g: Graph) -> int:
-    """Number of 4-cycles."""
-    return fast_census(g).nC4
-
-
-def count_paw(g: Graph) -> int:
-    """Number of subgraphs isomorphic to the paw (triangle plus pendant edge)."""
-    return fast_census(g).nPaw
-
-
-def count_c3l2(g: Graph) -> int:
-    """Number of subgraphs isomorphic to a triangle plus one disjoint edge."""
-    return fast_census(g).nC3L2

@@ -21,7 +21,6 @@ from .arrangements import (
     parse_arrangement,
     zscore,
 )
-from .census import forest_census, table_census
 from .errors import (
     CrossvarError,
     DegenerateStatisticsError,
@@ -35,7 +34,7 @@ from .variance import (
     compute_variance,
     format_rational,
     rational_decimal,
-    select_algorithm,
+    route_census,
 )
 
 EXIT_OK = 0
@@ -68,7 +67,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 def cmd_stats(args) -> int:
     g = load_graph(args.file)
     # the census of the route compute_variance(g) takes
-    census = forest_census(g) if select_algorithm(g) == "forest" else table_census(g)[0]
+    census = route_census(g)[1]
     expectation = Fraction(census.q, 3)
     payload = {
         "n": g.n,

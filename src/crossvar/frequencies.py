@@ -238,18 +238,17 @@ def frequencies_from_census(c, m: int) -> FrequencyVector:
 PATTERN_LIMIT = 25
 
 
-def frequencies_from_subgraph_counts(g: Graph, limit: int = PATTERN_LIMIT) -> FrequencyVector:
+def frequencies_from_subgraph_counts(g: Graph) -> FrequencyVector:
     """Type counts as pattern multiplicity times brute subgraph count.
 
     Patterns are counted by explicit enumeration (edges, walks, subsets),
     independent from both the pair classification and the closed forms.
     The two null types are reported jointly via the q^2 complement.  A
-    graph with more than ``min(limit, PATTERN_LIMIT)`` vertices is refused
-    before any pattern is listed, so ``limit`` can only lower the cap.
+    graph with more than :data:`PATTERN_LIMIT` vertices is refused before
+    any pattern is listed.
     """
-    cap = min(limit, PATTERN_LIMIT)
-    if g.n > cap:
-        raise OracleBudgetError(f"pattern counting limited to n <= {cap}")
+    if g.n > PATTERN_LIMIT:
+        raise OracleBudgetError(f"pattern counting limited to n <= {PATTERN_LIMIT}")
 
     edges = list(g.edges())
     q_pairs = independent_edge_pairs(g)

@@ -185,21 +185,36 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self.edge_u.tobytes(), self.edge_v.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def vertex_ids(values, what: str) -> np.ndarray:
+    """``values`` as a flat int64 array of vertex ids.
+
+    An array must have an integer dtype, and any other value must be an
+    integer by :func:`operator.index`, so that no float is truncated and no
+    string parsed into an id.  ``what`` names the values in the error.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValidationError(f"{what} must be integer vertex ids, not {values.dtype}")
+        return values.astype(np.int64, copy=False).ravel()
+    try:
+        return np.fromiter(map(operator.index, values), dtype=np.int64)
+    except TypeError:
+        raise ValidationError(f"{what} must be integer vertex ids") from None
+    except OverflowError:
+        raise ValidationError("vertex id out of range") from None
+
+
 def _edge_array(edges) -> np.ndarray:
     """``edges`` as an ``(m, 2)`` int64 array."""
-    if isinstance(edges, np.ndarray):
-        flat = edges.astype(np.int64, copy=False).ravel()
-    else:
-        try:
-            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        except OverflowError:
-            raise ValidationError("vertex id out of range") from None
+    if not isinstance(edges, np.ndarray):
+        edges = chain.from_iterable(edges)
+    flat = vertex_ids(edges, "edge ends")
     if len(flat) % 2:
         raise ValidationError("every edge must be a pair of vertices")
     return flat.reshape(-1, 2)

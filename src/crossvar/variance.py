@@ -4,16 +4,18 @@ Several routes compute the same exact rational value:
 
 * ``variance_naive``: classify all pairs of independent edge pairs.
 * ``variance_general``, ``variance_general_reuse`` and ``variance_forest``:
-  the census of :mod:`crossvar.census`, turned into the seven type
-  frequencies of :func:`crossvar.frequencies.frequencies_from_census` and
-  weighted by the layout's expectations.  The three share one census
-  reduction and differ only in where neighbourhood intersections come
-  from: a merge per edge and wedge, one numpy table of vertex pairs, or
-  none at all on a forest.  The table is read block by block: a dense
-  block counts common neighbours as the bits two packed adjacency rows
-  share, and any other block lists its keys and counts equal ones with
-  one ``bincount`` where its key span is no larger than its number of
-  keys and by sorting elsewhere; its int64 block sums stay below 2^62 (see
+  the census of :mod:`crossvar.census`, taken through :func:`route_census`,
+  the one function that maps a route name to its census, turned into the
+  seven type frequencies of
+  :func:`crossvar.frequencies.frequencies_from_census` and weighted by the
+  layout's expectations.  The three share one census reduction and differ
+  only in where neighbourhood intersections come from: a merge per edge
+  and wedge, one numpy table of vertex pairs, or none at all on a forest.
+  The table is read block by block: a dense block counts common
+  neighbours as the bits two packed adjacency rows share, and any other
+  block lists its keys and counts equal ones with one ``bincount`` where
+  its key span is no larger than its number of keys and by sorting
+  elsewhere; its int64 block sums stay below 2^62 (see
   :mod:`crossvar.census`).
 * ``variance_rla_closed``: single closed form for the uniform random
   linear arrangement layout.
@@ -119,18 +121,35 @@ def variance_naive(g: Graph, table: ExpectationTable | None = None) -> VarianceR
     return _result(compute_q(g), variance_from_frequencies(freq, table), "naive", table)
 
 
-def _census_result(
-    g: Graph, c: CensusReport, algorithm: str, table: ExpectationTable | None,
-    hash_table_size: int | None = None,
-) -> VarianceResult:
+def route_census(g: Graph, algorithm: str = "auto") -> tuple[str, CensusReport, int | None]:
+    """``(route, census, pairs)``: the census of route ``algorithm``, or for
+    ``auto`` of the route :func:`select_algorithm` picks.
+
+    This is the one place a route name is mapped to its census: a merge per
+    edge and wedge for ``general``, the table of vertex pairs for ``reuse``
+    and none for ``forest``.  ``pairs`` is the table's number of distinct
+    pairs for ``reuse`` and ``None`` otherwise.
+    """
+    route = select_algorithm(g, algorithm)
+    if route == "general":
+        return route, fast_census(g), None
+    if route == "reuse":
+        return (route, *table_census(g))
+    if route == "forest":
+        return route, forest_census(g), None
+    raise ValidationError(f"no census route {route!r}")
+
+
+def _census_result(g: Graph, algorithm: str, table: ExpectationTable | None) -> VarianceResult:
+    route, c, pairs = route_census(g, algorithm)
     table = table or builtin_rla_table()
     variance = variance_from_frequencies(frequencies_from_census(c, g.m), table)
-    return _result(c.q, variance, algorithm, table, hash_table_size)
+    return _result(c.q, variance, route, table, pairs)
 
 
 def variance_general(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
     """General-graph route: a sorted-list merge for every intersection."""
-    return _census_result(g, fast_census(g), "general", table)
+    return _census_result(g, "general", table)
 
 
 def variance_general_reuse(
@@ -143,13 +162,12 @@ def variance_general_reuse(
     shared by many wedges is counted, not merged again.
     ``hash_table_size`` is the number of distinct pairs in the table.
     """
-    c, pairs = table_census(g)
-    return _census_result(g, c, "reuse", table, hash_table_size=pairs)
+    return _census_result(g, "reuse", table)
 
 
 def variance_forest(g: Graph, table: ExpectationTable | None = None) -> VarianceResult:
     """Linear-time route, valid only for acyclic graphs."""
-    return _census_result(g, forest_census(g), "forest", table)
+    return _census_result(g, "forest", table)
 
 
 def variance_rla_closed(g: Graph) -> VarianceResult:

@@ -7,11 +7,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import crossvar
-from crossvar.census import fast_census
+from crossvar import variance
+from crossvar.census import fast_census, table_census
 from crossvar.cli import main
 from crossvar.frequencies import PAIR_BUDGET, builtin_rla_table
 from crossvar.generators import erdos_renyi, random_tree
@@ -82,6 +84,22 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["census"] == fast_census(g).to_json_dict()
         assert Fraction(payload["expectation_rla"]) == Fraction(fast_census(g).q, 3)
+
+    def test_follows_auto(self, tmp_path, capsys):
+        # every route gives the same census, so the other routes are made to
+        # fail: a forest takes the forest census, any other graph the table's
+        unavailable = mock.Mock(side_effect=AssertionError("not the route auto takes"))
+        tree = write_graph(tmp_path / "tree.txt", random_tree(50, seed=3))
+        with mock.patch.object(variance, "table_census", unavailable), \
+                mock.patch.object(variance, "fast_census", unavailable):
+            assert main(["stats", tree, "--json"]) == 0
+        capsys.readouterr()
+        g = erdos_renyi(12, 0.4, seed=5)
+        with mock.patch.object(variance, "forest_census", unavailable), \
+                mock.patch.object(variance, "fast_census", unavailable):
+            assert main(["stats", write_graph(tmp_path / "er.txt", g), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["census"] == table_census(g)[0].to_json_dict()
 
 
 class TestVariance:

@@ -83,7 +83,7 @@ def test_vectorized_classification_matches_reference(seed):
 def test_three_routes_agree(g):
     brute = frequencies_brute(g)
     census = frequencies_from_census(fast_census(g), g.m)
-    patterns = frequencies_from_subgraph_counts(g, limit=g.n)
+    patterns = frequencies_from_subgraph_counts(g)
     assert brute.counts == census.counts == patterns.counts
     assert brute.total() == census.total() == compute_q(g) ** 2
 
@@ -106,14 +106,12 @@ class TestPairBudget:
 
 
 def test_pattern_limit_is_checked_before_any_work():
-    # limit can only lower the cap of PATTERN_LIMIT vertices
-    for g, limit in ((path(PATTERN_LIMIT + 1), PATTERN_LIMIT + 1), (path(6), 5)):
-        with mock.patch.object(
-            frequencies, "independent_edge_pairs", wraps=independent_edge_pairs
-        ) as listed:
-            with pytest.raises(OracleBudgetError, match=rf"n <= {min(limit, PATTERN_LIMIT)}"):
-                frequencies_from_subgraph_counts(g, limit=limit)
-        assert listed.call_count == 0
+    with mock.patch.object(
+        frequencies, "independent_edge_pairs", wraps=independent_edge_pairs
+    ) as listed:
+        with pytest.raises(OracleBudgetError, match=rf"n <= {PATTERN_LIMIT}"):
+            frequencies_from_subgraph_counts(path(PATTERN_LIMIT + 1))
+    assert listed.call_count == 0
 
 
 def test_three_matchings_coefficient():

@@ -51,9 +51,18 @@ class TestArrays:
     def test_equality_and_hash(self):
         a = Graph(4, [(0, 1), (2, 3)])
         b = Graph(4, [(3, 2), (1, 0), (0, 1)])
-        assert a == b and hash(a) == hash(b) == hash((4, a.adjacency))
+        assert a == b and hash(a) == hash(b)
+        # the hash reads the edge arrays and builds no Python view
+        assert a._adjacency is None and b._adjacency is None
         assert a != Graph(5, [(0, 1), (2, 3)])
         assert a != Graph(4, [(0, 1), (1, 3)])
+
+    @pytest.mark.parametrize("edges", [
+        [(0.5, 1)], [(0, 1.9)], [("1", "2")], np.array([[0.0, 1.0]]),
+    ], ids=["float-first-end", "float-second-end", "strings", "float-array"])
+    def test_non_integer_ids_are_refused(self, edges):
+        with pytest.raises(ValidationError, match="integer vertex ids"):
+            Graph(3, edges)
 
     def test_first_bad_edge_is_reported(self):
         with pytest.raises(ValidationError, match=r"edge \(0, 7\) out of range"):
