@@ -59,7 +59,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, vertex_ids
+from .graph import Graph, read_number, vertex_ids
 
 #: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
@@ -103,20 +103,19 @@ def _arrangement_ids(g: Graph, order) -> np.ndarray:
 
 def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
     """Vertex ids separated by whitespace, across any number of lines;
-    '#' starts a comment."""
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    '#' starts a comment.  An id is ASCII decimal digits, as
+    :func:`crossvar.graph.read_number` reads it."""
     order = []
-    for tok in tokens:
-        try:
-            order.append(int(tok))
-        except ValueError:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        ids = list(map(read_number, tokens))
+        if None in ids:
+            bad = tokens[ids.index(None)]
             raise ValidationError(
-                f"non-integer vertex id {reprlib.repr(tok)} in arrangement"
-            ) from None
+                f"vertex id {reprlib.repr(bad)} in arrangement line {lineno}"
+                " is not ASCII decimal digits"
+            )
+        order += ids
     return validate_arrangement(g, order)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 from .arrangements import (
     chebyshev_pvalue_bound,
@@ -64,41 +64,35 @@ def _emit(payload: dict, as_json: bool) -> None:
                 print(f"{key} = {value}")
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> dict:
     g = load_graph(args.file)
     # the census of the route compute_variance(g) takes
     census = route_census(g)[1]
-    expectation = Fraction(census.q, 3)
-    payload = {
+    expectation = census.q * builtin_rla_table().delta
+    return {
         "n": g.n,
         "m": g.m,
         "census": census.to_json_dict(),
         "expectation_rla": format_rational(expectation),
         "expectation_rla_decimal": rational_decimal(expectation),
     }
-    _emit(payload, args.json)
-    return EXIT_OK
 
 
-def cmd_variance(args) -> int:
+def cmd_variance(args) -> dict:
     g = load_graph(args.file)
     table = _load_table(args.layout)
     algorithm = "rla-closed" if args.algorithm == "closed" else args.algorithm
     result = compute_variance(g, algorithm=algorithm, table=table)
-    payload = {"n": g.n, "m": g.m, **result.to_json_dict()}
-    _emit(payload, args.json)
-    return EXIT_OK
+    return {"n": g.n, "m": g.m, **result.to_json_dict()}
 
 
-def cmd_zscore(args) -> int:
+def cmd_zscore(args) -> dict:
     g = load_graph(args.file)
     table = _load_table(args.layout)
+    observed = args.observed
     if args.arrangement is not None:
         with open(args.arrangement, "r", encoding="utf-8") as fh:
-            order = parse_arrangement(fh.read(), g)
-        observed = count_crossings(g, order)
-    else:
-        observed = args.observed
+            observed = count_crossings(g, parse_arrangement(fh.read(), g))
     result = compute_variance(g, table=table)
     if not 0 <= observed <= result.q:
         # each crossing is one pair of independent edges
@@ -106,34 +100,21 @@ def cmd_zscore(args) -> int:
             f"observed crossing count {observed} is impossible: it must lie"
             f" in 0..q = {result.q}, the number of independent edge pairs"
         )
-    z = zscore(observed, result.expectation, result.variance)
-    bounds = {
-        side: chebyshev_pvalue_bound(observed, result.expectation, result.variance, side)
-        for side in ("two_sided", "lower", "upper")
-    }
     payload = {
         "observed": observed,
         "expectation": format_rational(result.expectation),
         "variance": format_rational(result.variance),
-        "zscore": z,
-        "bound_two_sided": format_rational(bounds["two_sided"]),
-        "bound_lower": format_rational(bounds["lower"]),
-        "bound_upper": format_rational(bounds["upper"]),
+        "zscore": zscore(observed, result.expectation, result.variance),
     }
-    _emit(payload, args.json)
-    return EXIT_OK
+    for side in ("two_sided", "lower", "upper"):
+        bound = chebyshev_pvalue_bound(observed, result.expectation, result.variance, side)
+        payload[f"bound_{side}"] = format_rational(bound)
+    return payload
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> dict:
     report = run_selftest(full=not args.quick)
-    payload = {
-        "graphs_checked": report.graphs_checked,
-        "comparisons": report.comparisons,
-        "failures": report.failures,
-        "ok": report.ok,
-    }
-    _emit(payload, args.json)
-    return EXIT_OK if report.ok else EXIT_SELFTEST
+    return {**asdict(report), "ok": report.ok}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,54 +123,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact crossing-count statistics of graphs under random layouts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_stats = sub.add_parser("stats", help="subgraph census and expected crossings")
-    p_stats.add_argument("file", help="edge-list file")
-    p_stats.add_argument("--json", action="store_true")
-    p_stats.set_defaults(fn=cmd_stats)
-
     p_var = sub.add_parser("variance", help="exact crossing variance")
-    p_var.add_argument("file", help="edge-list file")
-    p_var.add_argument("--layout", default="rla", help="'rla' or a layout-table file")
+    p_z = sub.add_parser("zscore", help="standardize an observed crossing count")
+    p_self = sub.add_parser("selftest", help="run the built-in equality suite")
+
+    # each shared argument is declared once, in the place it has in every
+    # usage line: the file first, --json last
+    for p in (p_stats, p_var, p_z):
+        p.add_argument("file", help="edge-list file")
+    group = p_z.add_mutually_exclusive_group(required=True)
+    group.add_argument("--observed", type=int, help="observed crossing count")
+    group.add_argument(
+        "--arrangement",
+        help="file of vertex ids in left-to-right order, separated by whitespace"
+        " across any number of lines; '#' starts a comment",
+    )
+    for p in (p_var, p_z):
+        p.add_argument("--layout", default="rla", help="'rla' or a layout-table file")
     p_var.add_argument(
         "--algorithm",
         default="auto",
         choices=["auto", "naive", "general", "reuse", "forest", "closed"],
     )
-    p_var.add_argument("--json", action="store_true")
-    p_var.set_defaults(fn=cmd_variance)
-
-    p_z = sub.add_parser("zscore", help="standardize an observed crossing count")
-    p_z.add_argument("file", help="edge-list file")
-    group = p_z.add_mutually_exclusive_group(required=True)
-    group.add_argument("--observed", type=int, help="observed crossing count")
-    group.add_argument("--arrangement", help="file with one space-separated vertex order")
-    p_z.add_argument("--layout", default="rla")
-    p_z.add_argument("--json", action="store_true")
-    p_z.set_defaults(fn=cmd_zscore)
-
-    p_self = sub.add_parser("selftest", help="run the built-in equality suite")
     p_self.add_argument("--quick", action="store_true", help="skip the slow ensembles")
-    p_self.add_argument("--json", action="store_true")
-    p_self.set_defaults(fn=cmd_selftest)
-
+    for p, fn in ((p_stats, cmd_stats), (p_var, cmd_variance), (p_z, cmd_zscore),
+                  (p_self, cmd_selftest)):
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its payload is printed here, and the exit code
+    chosen here, from the payload or the error the command raised."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except NotAForestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
-    except DegenerateStatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        payload = args.fn(args)
+        _emit(payload, args.json)
     except (CrossvarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NotAForestError):
+            return EXIT_ALGORITHM
+        if isinstance(exc, DegenerateStatisticsError):
+            return EXIT_DEGENERATE
         return EXIT_PARSE
+    # only the selftest's payload has "ok"
+    return EXIT_OK if payload.get("ok", True) else EXIT_SELFTEST
 
 
 if __name__ == "__main__":

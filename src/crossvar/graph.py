@@ -336,8 +336,8 @@ def parse_edge_list(text: str) -> Graph:
     ``n=<int>`` forces the vertex count (for trailing isolated vertices);
     every other non-blank line is ``u v``.  Self-loops are rejected;
     duplicate edges, in either orientation, are collapsed by :class:`Graph`
-    with a warning.  ``n=`` and every vertex id must stay within
-    :data:`MAX_VERTICES`.
+    with a warning.  ``n=`` and every vertex id are ASCII decimal digits
+    (:func:`read_number`) and must stay within :data:`MAX_VERTICES`.
 
     The whole text is checked and tokenised at once; text that this does
     not accept, which includes every malformed text, is read again line by
@@ -495,35 +495,27 @@ def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:
     """``(edge pairs, forced n)`` line by line; raises at the first bad line."""
     edges: list[tuple[int, int]] = []
     forced_n: int | None = None
-    saw_data = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("n="):
-            if saw_data or forced_n is not None:
+            if edges or forced_n is not None:
                 raise EdgeListParseError("n= directive must come first", lineno)
-            try:
-                forced_n = int(line[2:])
-            except ValueError:
-                raise EdgeListParseError(f"bad n= directive {line!r}", lineno) from None
-            if forced_n < 0:
-                raise EdgeListParseError("n= must be non-negative", lineno)
+            forced_n = read_number(line[2:].strip())
+            if forced_n is None:
+                raise EdgeListParseError(f"bad n= directive {line!r}", lineno)
             if forced_n > MAX_VERTICES:
                 raise ValidationError(
                     f"n={forced_n} at line {lineno} exceeds the budget of {MAX_VERTICES} vertices"
                 )
             continue
-        saw_data = True
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer vertex in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(f"negative vertex id in {line!r}", lineno)
+        u, v = map(read_number, parts)
+        if u is None or v is None:
+            raise EdgeListParseError(f"vertex ids must be ASCII decimal digits: {line!r}", lineno)
         if max(u, v) >= MAX_VERTICES:
             raise ValidationError(
                 f"vertex id {max(u, v)} at line {lineno} exceeds the budget of "
@@ -533,6 +525,22 @@ def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:
             raise ValidationError(f"self-loop '{u} {u}' at line {lineno}")
         edges.append((u, v))
     return np.array(edges, dtype=np.int64).reshape(-1, 2), forced_n
+
+
+def read_number(token: str) -> int | None:
+    """``token`` as a vertex id or vertex count, or ``None`` if it is not one.
+
+    This is the one grammar every reader takes, and the whole-text scan
+    holds to it byte by byte: ASCII decimal digits, leading zeros allowed.
+    So ``+1``, ``1_0`` and non-ASCII digits are refused, although ``int``
+    takes them.  A number of more than 640 digits after its leading zeros,
+    far past every budget, is refused too: ``int`` reads 640 digits however
+    :func:`sys.set_int_max_str_digits` is set.
+    """
+    digits = token.lstrip("0")
+    if token.isascii() and token.isdigit() and len(digits) <= 640:
+        return int(digits or "0")
+    return None
 
 
 def load_graph(path: str) -> Graph:

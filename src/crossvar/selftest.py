@@ -28,28 +28,32 @@ from .variance import (
 )
 
 
-def corpus(max_n: int = 12, full: bool = True):
+# largest vertex count of the deterministic families
+_MAX_N = 12
+
+
+def corpus(full: bool = True):
     """Yield (name, graph) over the standard test families.
 
     ``full`` includes the Erdos-Renyi ensemble and the free-tree sweep;
-    ``max_n`` caps the deterministic families.
+    ``_MAX_N`` caps the deterministic families.
     """
-    for n in range(2, min(max_n, 7) + 1):
+    for n in range(2, 8):
         yield f"complete-{n}", gen.complete(n)
     for a in range(2, 5):
         for b in range(a, 5):
             yield f"complete-bipartite-{a}-{b}", gen.complete_bipartite(a, b)
-    for n in range(2, max_n + 1):
+    for n in range(2, _MAX_N + 1):
         yield f"path-{n}", gen.path(n)
-    for n in range(3, max_n + 1):
+    for n in range(3, _MAX_N + 1):
         yield f"cycle-{n}", gen.cycle(n)
-    for n in range(2, max_n + 1):
+    for n in range(2, _MAX_N + 1):
         yield f"star-{n}", gen.star(n)
-    for n in range(3, max_n + 1):
+    for n in range(3, _MAX_N + 1):
         yield f"quasi-star-{n}", gen.quasi_star(n)
-    for n in range(2, max_n + 1, 2):
+    for n in range(2, _MAX_N + 1, 2):
         yield f"one-regular-{n}", gen.one_regular(n)
-    for n in range(4, max_n + 1):
+    for n in range(4, _MAX_N + 1):
         yield f"random-forest-{n}", gen.random_forest(n, seed=n)
     if full:
         for n in range(2, 10):

@@ -11,12 +11,8 @@ Several routes compute the same exact rational value:
   layout's expectations.  The three share one census reduction and differ
   only in where neighbourhood intersections come from: a merge per edge
   and wedge, one numpy table of vertex pairs, or none at all on a forest.
-  The table is read block by block: a dense block counts common
-  neighbours as the bits two packed adjacency rows share, and any other
-  block lists its keys and counts equal ones with one ``bincount`` where
-  its key span is no larger than its number of keys and by sorting
-  elsewhere; its int64 block sums stay below 2^62 (see
-  :mod:`crossvar.census`).
+  :mod:`crossvar.census` describes how the table is read block by block
+  and why its sums stay exact.
 * ``variance_rla_closed``: single closed form for the uniform random
   linear arrangement layout.
 """

@@ -10,14 +10,14 @@ from crossvar.selftest import corpus
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    """Deterministic families only, capped so brute oracles stay cheap."""
-    return list(corpus(max_n=10, full=False))
+    """Deterministic families only."""
+    return list(corpus(full=False))
 
 
 @pytest.fixture(scope="session")
 def full_corpus():
     """The complete acceptance corpus (ER ensemble, free trees, families)."""
-    return list(corpus(max_n=12, full=True))
+    return list(corpus(full=True))
 
 
 @pytest.fixture(scope="session")

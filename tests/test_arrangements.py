@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -160,6 +161,11 @@ class TestParseArrangement:
     def test_rejects_garbage(self):
         with pytest.raises(ValidationError, match="vertex id 'one' in"):
             parse_arrangement("0 one 2", path(3))
+        # ids are ASCII decimal digits, as in an edge list
+        for token in ("1_0", "+1", "\u0661"):
+            with pytest.raises(ValidationError, match=re.escape(f"'{token}' in arrangement line 2")):
+                parse_arrangement(f"0 2 # one\n{token} 3 4 5 6 7 8 9\n", path(11))
+        assert parse_arrangement("0002 0 1\n", path(3)) == (2, 0, 1)
 
     def test_error_on_a_large_order_names_a_short_token(self):
         n = 10**5

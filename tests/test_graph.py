@@ -70,6 +70,9 @@ class TestParse:
     def test_basic(self):
         g = parse_edge_list("# a comment\n0 1\n1 2\n")
         assert (g.n, g.m) == (3, 2)
+        # leading zeros are allowed, also past the whole-text scan's 8 digits
+        assert parse_edge_list("000000001 2\n") == Graph(3, [(1, 2)])
+        assert parse_edge_list(f"{'0' * 5000}1 2\n") == Graph(3, [(1, 2)])
 
     def test_n_directive(self):
         g = parse_edge_list("n=5\n0 1\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossvar import cli, graph
-from crossvar.errors import CrossvarError, ValidationError
+from crossvar.errors import CrossvarError, EdgeListParseError, ValidationError
 from crossvar.generators import path, random_forest, random_tree, star
 from crossvar.graph import MAX_VERTICES, Graph, degree_aggregates, parse_edge_list
 from crossvar.variance import compute_variance, variance_forest
@@ -63,6 +63,15 @@ class TestArrays:
     def test_non_integer_ids_are_refused(self, edges):
         with pytest.raises(ValidationError, match="integer vertex ids"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (-1, [], "vertex count must be non-negative"),
+        (3, [(0, 1, 2)], "every edge must be a pair of vertices"),
+        (3, [(0, 2**70)], "vertex id out of range"),
+    ], ids=["negative-n", "three-ids", "id-past-int64"])
+    def test_bad_counts_and_edges_are_refused(self, n, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            Graph(n, edges)
 
     def test_first_bad_edge_is_reported(self):
         with pytest.raises(ValidationError, match=r"edge \(0, 7\) out of range"):
@@ -403,6 +412,21 @@ class TestWholeTextScan:
     def test_blocks_of_any_size(self, text, block):
         with mock.patch.object(graph, "_BLOCK", block):
             assert _outcome(text) == _outcome_line_by_line(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 2\n", 1), ("+1 2\n", 1), ("\u0661 \u0662\n", 1), ("n=1_2\n0 1\n", 1),
+        ("n=+4\n0 1\n", 1), ("0 1\n2 1_0\n", 2), (f"0 {'0' * 9}1{'0' * 640}\n", 1),
+    ], ids=["underscore", "plus", "arabic-indic", "n-underscore", "n-plus", "line-2",
+            "641-digits"])
+    def test_ids_are_ascii_decimal_digits(self, tmp_path, capsys, text, line):
+        # int() takes every one of these tokens; the last has 641 significant digits
+        with pytest.raises(EdgeListParseError) as info:
+            parse_edge_list(text)
+        assert info.value.line_number == line
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["stats", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
     def test_written_tree_parses_back(self):
         g = random_tree(100_000, seed=11)

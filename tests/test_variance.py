@@ -34,6 +34,7 @@ from crossvar.variance import (
     compute_variance,
     forest_census,
     format_rational,
+    route_census,
     select_algorithm,
     variance_forest,
     variance_general,
@@ -148,6 +149,9 @@ class TestDispatch:
     def test_unknown_algorithm(self):
         with pytest.raises(ValidationError):
             compute_variance(path(4), algorithm="bogus")
+        # naive classifies pairs and has no census
+        with pytest.raises(ValidationError, match="no census route 'naive'"):
+            route_census(path(4), "naive")
 
     def test_closed_form_rejects_foreign_table(self):
         from crossvar.frequencies import ExpectationTable
