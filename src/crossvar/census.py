@@ -20,14 +20,15 @@ pairs, and :func:`forest_census` requests none, because all three sums
 vanish on an acyclic graph.  The table is read in blocks of whole rows,
 and each block takes one of three sides from its own shape.  A dense
 block reads every ``c_ab`` as the bits two packed adjacency rows share,
-without listing a key; any other block lists its keys and counts equal
-ones with one ``bincount`` when its key span is no larger than its number
-of keys, and by sorting them otherwise.  Each ``c_ab <= n`` and the
-``c_ab`` of a block of ``K`` keys add up to ``K``, so its int64 sums stay
-below ``2n·K``, below 2^62 for any graph that fits in memory (``n <=
-2^25``, ``m < 2^35``), and the blocks are added up as Python ints.  Each
-count has a brute-force counterpart in :mod:`crossvar.brute` that serves
-as its oracle.
+without listing a key; any other block lists its keys, the far ends of
+each half-edge's wedges read off after its twin, and counts equal ones
+with one ``bincount`` when its key span is no larger than its number of
+keys, and by sorting them otherwise, as int32 when the span allows.  Each
+``c_ab <= n`` and the ``c_ab`` of a block of ``K`` keys add up to ``K``,
+so its int64 sums stay below ``2n·K``, below 2^62 for any graph that fits
+in memory (``n <= 2^25``, ``m < 2^35``), and the blocks are added up as
+Python ints.  Each count has a brute-force counterpart in
+:mod:`crossvar.brute` that serves as its oracle.
 """
 
 from __future__ import annotations
@@ -184,14 +185,24 @@ def _key_counts(
     whose span is no larger than its number of keys counts them into
     ``span`` bins with one ``bincount``, Gustavson's dense accumulator, so
     the bins never outgrow the keys.  A sparser block sorts its keys in
-    place and reads off the runs of equal keys.
+    place, reads off the runs of equal keys, and finds each edge key's run
+    with one binary search among the distinct keys.  ``edge_keys`` have the
+    dtype of ``keys``, int32 or int64, so that the search casts neither.
     """
     if span <= len(keys):
         bins = np.bincount(keys, minlength=span)
         return bins[bins > 0], bins[edge_keys]
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64), np.zeros(len(edge_keys), dtype=np.int64)
     keys.sort()
-    c = np.diff(np.flatnonzero(np.diff(keys, prepend=-1)), append=len(keys))
-    return c, np.searchsorted(keys, edge_keys, side="right") - np.searchsorted(keys, edge_keys)
+    # a run of equal keys starts at each True of step but the last
+    step = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=step[1:-1])
+    bounds = np.flatnonzero(step)
+    distinct, c = keys[bounds[:-1]], np.diff(bounds)
+    # an edge key occurs as often as the first distinct key not below it, if equal
+    at = np.minimum(np.searchsorted(distinct, edge_keys), len(c) - 1)
+    return c, np.where(distinct[at] == edge_keys, c[at], 0)
 
 
 def _bitsets(n: int, owner: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -218,6 +229,17 @@ def _bitset_counts(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
+def _twins(n: int, owner: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``twin[i]``: the position of the half-edge ``x -> a`` in ``indices``,
+    for the half-edge ``i`` from ``owner[i] = a`` to ``indices[i] = x``.
+
+    The half-edges are listed in (owner, neighbour) order, so sorted by
+    (neighbour, owner) they list their reversed twins in that order: the
+    sorting permutation is ``twin``'s inverse, which is ``twin`` itself.
+    """
+    return np.argsort(indices * n + owner)
+
+
 def table_census(g: Graph) -> tuple[CensusReport, int]:
     """The census from one table of vertex pairs, and the number of
     distinct pairs it names: the edges and the ends of every wedge.
@@ -235,9 +257,12 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
       (:func:`_bitset_counts`), without building a key.
     * bincount or sort, otherwise: the block lists about ``_TABLE_KEYS``
       keys and edges, stored relative to the block as ``(a - lo)·n + b``
-      below its span ``(hi - lo)·n``, and counts them with one
-      ``bincount`` over the span if the span is no larger than ``K``, or
-      by sorting them (see :func:`_key_counts`).
+      below its span ``(hi - lo)·n``.  The wedges of a half-edge ``a ->
+      x`` end at the neighbours of ``x`` past ``a``, as many as follow its
+      twin ``x -> a`` in its row (:func:`_twins`), so no row is searched.
+      The block counts its keys with one ``bincount`` over the span, as
+      int64, if the span is no larger than ``K``, or else by sorting them,
+      as int32 if the span is at most 2^31 (see :func:`_key_counts`).
 
     No key spans two blocks.  Every side adds, for its block, ``c_ab (c_ab
     - 1)`` over the pairs and ``c_ab`` and ``(k_a + k_b) c_ab`` over the
@@ -257,7 +282,7 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
     np.cumsum(np.bincount(indices, weights=ahead, minlength=n).astype(np.int64), out=keys_to[1:])
     entries_to = keys_to + np.concatenate(([0], np.cumsum(owner < indices)))[indptr]
     words, rows = -(-n // 64), max(1, _TABLE_KEYS // max(n, 1))
-    bits = half_keys = None
+    bits = twin = None
     mu2 = s_twice = c4_scaled = pairs = 0
     lo = 0
     while lo < n:
@@ -277,18 +302,22 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
             counts = np.triu(counts, 1)
             c = counts[counts > 0].astype(np.int64)
         else:
-            if half_keys is None:
-                half_keys = owner * n + indices
-            # the half-edge keys owner·n + neighbour are sorted, and the wedges
-            # a-x-b of the half-edge a -> x end past a in the row of x
-            length = indptr[x + 1] - np.searchsorted(half_keys, x * n + a, side="right")
+            if twin is None:
+                twin = _twins(n, owner, indices)
+            # the wedges a-x-b of the half-edge a -> x end past a in the row of
+            # x, where the twin x -> a has its neighbours ahead
+            length = ahead[twin[block]]
             # wedge i of the block ends at indices[i + shift], one shift per half-edge a -> x
             at = np.repeat(indptr[x + 1] - np.cumsum(length), length)
             at += np.arange(len(at))
-            keys = np.repeat((a - lo) * n, length)
+            # the keys lie below the span: a block that sorts them sorts int32
+            # when they fit, and a bincount reads int64 without a cast
+            span = (hi - lo) * n
+            dtype = np.int32 if len(at) < span <= 1 << 31 else np.int64
+            keys = np.repeat(((a - lo) * n).astype(dtype), length)
             keys += indices[at]
             del at
-            c, c_edge = _key_counts(keys, ((a - lo) * n + x)[edge], (hi - lo) * n)
+            c, c_edge = _key_counts(keys, ((a - lo) * n + x)[edge].astype(dtype), span)
         c4_scaled += int((c * (c - 1)).sum())
         mu2 += int(c_edge.sum())
         s_twice += int(((k[a] + k[x])[edge] * c_edge).sum())

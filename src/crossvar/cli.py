@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .frequencies import builtin_rla_table, load_layout_table
-from .graph import load_graph
+from .graph import load_graph, read_number
 from .selftest import run_selftest
 from .variance import (
     compute_variance,
@@ -62,6 +62,16 @@ def _emit(payload: dict, as_json: bool) -> None:
                     print(f"  {k2} = {v2}")
             else:
                 print(f"{key} = {value}")
+
+
+def _crossing_count(token: str) -> int:
+    """``--observed``: ASCII decimal digits, as :func:`read_number` reads
+    them, after an optional ``-``, so that a negative count is refused as
+    impossible rather than as malformed."""
+    count = read_number(token.removeprefix("-"))
+    if count is None:
+        raise argparse.ArgumentTypeError(f"crossing count {token!r} is not ASCII decimal digits")
+    return -count if token.startswith("-") else count
 
 
 def cmd_stats(args) -> dict:
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_stats, p_var, p_z):
         p.add_argument("file", help="edge-list file")
     group = p_z.add_mutually_exclusive_group(required=True)
-    group.add_argument("--observed", type=int, help="observed crossing count")
+    group.add_argument("--observed", type=_crossing_count, help="observed crossing count")
     group.add_argument(
         "--arrangement",
         help="file of vertex ids in left-to-right order, separated by whitespace"

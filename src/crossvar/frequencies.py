@@ -167,17 +167,16 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
             upper = rows[:, None] < np.arange(cols0, q)[None, :]
             code = np.where(upper, tau * 5 + phi, 15)
 
-            counts = np.bincount(code.ravel(), minlength=16)
-            if counts[5 + 4]:  # tau == 1, phi == 4 is impossible for distinct pairs
+            # one count per code read, on the int8 codes as they are; a pair
+            # of any other code is missed by the total check below.  tau == 1,
+            # phi == 4 is impossible for distinct pairs
+            if np.count_nonzero(code == 5 + 4):
                 raise InternalInconsistencyError("impossible (tau, phi) = (1, 4) seen")
-            if counts[10 + 4]:
+            if np.count_nonzero(code == 10 + 4):
                 raise InternalInconsistencyError("distinct Q elements sharing both edges")
-            freq["00"] += 2 * int(counts[0])
-            freq["01"] += 2 * int(counts[1])
-            freq["03"] += 2 * int(counts[3])
-            freq["04"] += 2 * int(counts[4])
-            freq["12"] += 2 * int(counts[5 + 2])
-            freq["13"] += 2 * int(counts[5 + 3])
+            for name, k in (("00", 0), ("01", 1), ("03", 3), ("04", 4),
+                            ("12", 5 + 2), ("13", 5 + 3)):
+                freq[name] += 2 * int(np.count_nonzero(code == k))
 
             # the (0, 2) cells: subtype 1 when the two shared vertices are
             # one edge of either element, subtype 2 otherwise

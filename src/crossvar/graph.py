@@ -332,7 +332,7 @@ def compute_q(g: Graph) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format.
 
-    Lines starting with ``#`` are comments; an optional first directive
+    A ``#`` anywhere in a line starts a comment; an optional first directive
     ``n=<int>`` forces the vertex count (for trailing isolated vertices);
     every other non-blank line is ``u v``.  Self-loops are rejected;
     duplicate edges, in either orientation, are collapsed by :class:`Graph`
@@ -356,7 +356,7 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
-_COMMENT = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
+_COMMENT = re.compile(rb"#[^\n]*")
 _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
 # line breaks of str.splitlines beyond \n and \r, which the whole-text scan leaves
 # to the line-by-line reading
@@ -496,8 +496,8 @@ def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:
     edges: list[tuple[int, int]] = []
     forced_n: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("n="):
             if edges or forced_n is not None:

@@ -1,5 +1,6 @@
 """Fast single-pass census against the brute-force enumeration oracles."""
 
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -33,6 +34,17 @@ def _pairs(g):
     return set(g.edges()) | wedge_ends
 
 
+def _clique_with_path(clique, tail):
+    """A clique on ``0..clique-1`` and a path of ``tail`` edges from its last vertex."""
+    edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+    return Graph(clique + tail, edges)
+
+
+def _star_with_leaf_edge(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)] + [(1, 2)])
+
+
 class TestPairTable:
     """The pair table gives the merge route's census, and neither it nor
     the table's pair count depends on how rows are split into blocks or on
@@ -53,7 +65,7 @@ class TestPairTable:
 
     def test_star_with_one_leaf_edge(self):
         leaves = 3000
-        g = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)] + [(1, 2)])
+        g = _star_with_leaf_edge(leaves)
         c, pairs = census.table_census(g)
         # one triangle 0-1-2, whose corner degrees add up to leaves + 4; every
         # pair of leaves ends a wedge, and the hub edges are pairs of their own
@@ -63,22 +75,29 @@ class TestPairTable:
 
     @staticmethod
     def _sides(g, table_keys=census._TABLE_KEYS):
-        """``table_census(g)`` and how many of its blocks read their pairs
-        from bitsets, count listed keys with ``bincount`` and sort them."""
-        key_counts, sides = census._key_counts, []
+        """``table_census(g)``, how many of its blocks read their pairs from
+        bitsets, count listed keys with ``bincount`` and sort them, and the
+        key dtype of each block that sorts.  Keys are int64 in a bincount
+        and int32 in a sort whose span, above every key, is at most 2^31."""
+        key_counts, sides, widths = census._key_counts, [], []
 
         def listed(keys, edge_keys, span):
             with mock.patch.object(census.np, "bincount", wraps=np.bincount) as bincount:
                 counted = key_counts(keys, edge_keys, span)
             assert bincount.called == (span <= len(keys))
+            assert edge_keys.dtype == keys.dtype
+            narrow = not bincount.called and span <= 1 << 31
+            assert keys.dtype == (np.int32 if narrow else np.int64), (span, keys.dtype)
             sides.append(bincount.called)
+            if not bincount.called:
+                widths.append(keys.dtype)
             return counted
 
         with mock.patch.object(census, "_TABLE_KEYS", table_keys), \
                 mock.patch.object(census, "_key_counts", listed), \
                 mock.patch.object(census, "_bitset_counts", wraps=census._bitset_counts) as bitset:
             result = census.table_census(g)
-        return result, (bitset.call_count, sides.count(True), sides.count(False))
+        return result, (bitset.call_count, sides.count(True), sides.count(False)), widths
 
     def test_dense_graph_counts_by_bitset(self):
         g = complete(40)
@@ -105,15 +124,38 @@ class TestPairTable:
         # small blocks: the first rows of the clique hold more keys than
         # their pairs' words, its last rows more keys than their span, the
         # path's rows far fewer
-        clique, tail = 60, 300
-        edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
-        edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
-        g = Graph(clique + tail, edges)
+        g = _clique_with_path(60, 300)
         expected = (fast_census(g), len(_pairs(g)))
-        result, sides = self._sides(g, table_keys=1 << 12)
+        result, sides, _ = self._sides(g, table_keys=1 << 12)
         assert min(sides) > 0, sides
         assert result == expected
         self._check(g, expected)
+
+    @pytest.mark.parametrize("table_keys", [1 << 6, 1 << 10, 1 << 12])
+    def test_listed_blocks_of_any_size(self, table_keys):
+        graphs = [er(400, 0.01, seed) for seed in range(3)]
+        graphs += [_star_with_leaf_edge(300), _clique_with_path(30, 200)]
+        for g in graphs:
+            assert self._sides(g, table_keys)[0] == (fast_census(g), len(_pairs(g)))
+
+    def test_one_call_sorts_keys_of_both_widths(self):
+        # three sorted blocks of about 2^16 keys and edges, with spans
+        # (hi - lo)·n of 1.1·10^9, 1.6·10^9 and, past 2^31, 2.2·10^9
+        rng, n, edges = random.Random(0), 70_000, set()
+        while len(edges) < 60_000:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph(n, sorted(edges))
+        result, sides, widths = self._sides(g)
+        assert sides == (0, 0, 3)
+        assert widths == [np.int32, np.int32, np.int64]
+        assert result == (fast_census(g), len(_pairs(g)))
+
+    def test_twins_swap_owner_and_neighbour(self):
+        for g in (er(30, 0.3, seed=1), _star_with_leaf_edge(6), complete(5), Graph(4, [])):
+            owner, indices = np.repeat(np.arange(g.n), g.degree_array), g.indices
+            twin = census._twins(g.n, owner, indices)
+            assert (twin[twin] == np.arange(len(twin))).all()
+            assert (owner[twin] == indices).all() and (indices[twin] == owner).all()
 
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
     def test_rows_across_word_boundaries(self, n):

@@ -75,6 +75,14 @@ class TestStats:
         p.write_text("0 1\nnope\n")
         assert main(["stats", str(p)]) == 2
 
+    @pytest.mark.parametrize("text", ["0 1 # c\n1 2\n", "n=4 # four\n0 1\n1 2\n"])
+    def test_comment_after_a_line(self, tmp_path, capsys, text):
+        p = tmp_path / "commented.txt"
+        p.write_text(text)
+        assert main(["stats", str(p), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["m"], payload["census"]["q"]) == (2, 0)
+
     def test_missing_file_exits_2(self):
         assert main(["stats", "/does/not/exist.txt"]) == 2
 
@@ -193,6 +201,14 @@ class TestZscore:
         path.write_text("0 1\n2 3\n")
         assert main(["zscore", str(path), "--observed", observed]) == code
         assert ("impossible" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("observed", ["1_0", "\u0662", "+1", "-\u0662", "1.0", "", "-"])
+    def test_count_is_ascii_decimal_digits(self, c4_file, capsys, observed):
+        # int() takes the first three; a count is read as a vertex id is
+        with pytest.raises(SystemExit) as exited:
+            main(["zscore", c4_file, "--observed", observed])
+        assert exited.value.code == 2
+        assert "is not ASCII decimal digits" in capsys.readouterr().err
 
     def test_zero_variance_exits_4(self, star_file):
         assert main(["zscore", star_file, "--observed", "0"]) == 4

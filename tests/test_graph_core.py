@@ -282,9 +282,11 @@ _comment_line = st.builds(
     lambda pre, body: f"{pre}#{body}", _blank,
     st.sampled_from(["", " c", "# 0 1", " n=3", " x y z", " \u00e9", "\t1 2 3"]),
 )
-_good_line = st.one_of(_edge_line, _edge_line, _comment_line, _blank)
+# an edge line, then a comment from a '#' anywhere after it
+_commented_edge_line = st.builds(lambda line, comment: line + comment, _edge_line, _comment_line)
+_good_line = st.one_of(_edge_line, _edge_line, _comment_line, _blank, _commented_edge_line)
 _bad_line = st.sampled_from([
-    "5", "1 2 3", "a b", "1 x", "-1 2", "3 -4", "3 3", " 7\t7 ", "n=4", "1 2 # c",
+    "5", "1 2 3", "a b", "1 x", "-1 2", "3 -4", "3 3", " 7\t7 ", "n=4", "1 2 3 # c",
     "+1 2", "0x1 2", "1.0 2", "1_0 2", "99999999999999999999 1",
 ])
 _header = st.one_of(
@@ -338,6 +340,17 @@ def zero_padded_texts(draw):
     for u, v in draw(st.lists(pairs, max_size=8)):
         text += u + draw(_pair_gap) + v + draw(_line_gap)
     return text
+
+
+@pytest.mark.parametrize("text, n, adjacency", [
+    ("0 1 # c", 2, ((1,), (0,))),
+    ("n=4 # four\n0 1\n", 4, ((1,), (0,), (), ())),
+    ("n=4# four\r\n0 1# c\r\n\t2\t3 #\r\n# 5 6\n", 4, ((1,), (0,), (3,), (2,))),
+])
+def test_a_hash_anywhere_starts_a_comment(text, n, adjacency):
+    assert graph._scan_whole(text) is not None
+    assert _outcome(text) == ("graph", n, adjacency, [])
+    assert _outcome_line_by_line(text) == ("graph", n, adjacency, [])
 
 
 class TestWholeTextScan:
