@@ -3,7 +3,10 @@
 An arrangement is a permutation of the vertices along a line; two
 independent edges cross when their endpoints interleave.  This module
 gives the exact crossing distribution for small graphs, a Monte Carlo
-sampler for large ones, and z-score / tail-bound helpers.
+sampler for large ones, and z-score / tail-bound helpers.  One function,
+:func:`validate_arrangement`, checks an order and returns it as int64
+vertex ids; :func:`parse_arrangement`, :func:`count_crossings` and the
+oracle :func:`crossvar.brute.count_crossings_brute` all check through it.
 
 Crossings are counted by merging, not by testing edge pairs.  With each
 edge as the positions ``lo < hi`` of its ends, sorted by ``lo`` ascending
@@ -71,20 +74,15 @@ _SWEEP_BYTES = 1 << 21
 _LEAF = 8
 
 
-def validate_arrangement(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Check that ``order`` is a permutation of the vertices of ``g``.
+def validate_arrangement(g: Graph, order) -> np.ndarray:
+    """``order`` as an int64 array of vertex ids, checked to be a
+    permutation of the vertices of ``g``.
 
-    An error names the first vertex id that is out of range, or else the
-    first vertex that is missing or repeated, never the whole order.
+    The ids are read as :func:`crossvar.graph.vertex_ids` reads them, so an
+    int64 array is checked as it is, without a copy.  An error names the
+    first vertex id that is out of range, or else the first vertex that is
+    missing or repeated, never the whole order.
     """
-    order = tuple(order)
-    _arrangement_ids(g, order)
-    return order
-
-
-def _arrangement_ids(g: Graph, order) -> np.ndarray:
-    """``order`` as an int64 array, checked as :func:`validate_arrangement`
-    describes."""
     ids = vertex_ids(order, "arrangement entries")
     outside = (ids < 0) | (ids >= g.n)
     if outside.any():
@@ -101,10 +99,11 @@ def _arrangement_ids(g: Graph, order) -> np.ndarray:
     return ids
 
 
-def parse_arrangement(text: str, g: Graph) -> tuple[int, ...]:
+def parse_arrangement(text: str, g: Graph) -> np.ndarray:
     """Vertex ids separated by whitespace, across any number of lines;
     '#' starts a comment.  An id is ASCII decimal digits, as
-    :func:`crossvar.graph.read_number` reads it."""
+    :func:`crossvar.graph.read_number` reads it.  The order is returned as
+    :func:`validate_arrangement` returns it."""
     order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -125,9 +124,9 @@ def count_crossings(g: Graph, order) -> int:
     The batch count of the module docstring on one row: O(m log² m) time,
     O(n + m) memory.
     """
-    ids = _arrangement_ids(g, order)
+    ids = validate_arrangement(g, order)
 
-    def fill(rows, start):
+    def fill(rows):
         rows[0, ids] = np.arange(g.n)
 
     return int(_count_rows(g, 1, fill)[0])
@@ -159,25 +158,14 @@ def _layout(m: int) -> tuple[int, int, np.dtype, int]:
     return leaf, width, tally, max(4 * m, 2 * width + width * tally.itemsize // 4)
 
 
-def _positions_to_crossings(g: Graph, pos: np.ndarray) -> np.ndarray:
-    """Crossing counts for a batch of arrangements given as position rows.
-
-    ``pos[r, v]`` is the position of vertex ``v`` in arrangement ``r``.
-    """
-
-    def fill(rows, start):
-        rows[...] = pos[start:start + len(rows)]
-
-    return _count_rows(g, len(pos), fill)
-
-
 def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     """The crossing counts of ``total`` arrangements, as an int64 array.
 
     The rows are counted in chunks of up to ``_chunk_rows(g)``, all in one
     workspace and one int64 row buffer, so memory is O(rows·(n + m)) for
-    small batches and bounded for large ones.  ``fill(rows, start)`` writes
-    the position rows ``start`` to ``start + len(rows)`` into ``rows``.
+    small batches and bounded for large ones.  ``fill(rows)`` writes the
+    next ``len(rows)`` position rows into ``rows``: ``rows[r, v]`` is the
+    position of vertex ``v`` in arrangement ``r``.
     """
     step = max(1, min(total, _chunk_rows(g)))
     count = _crossing_counter(g, step)
@@ -185,7 +173,7 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     out = np.empty(total, dtype=np.int64)
     for start in range(0, total, step):
         rows = pos[:min(step, total - start)]
-        fill(rows, start)
+        fill(rows)
         count(rows, out[start:start + len(rows)])
     return out
 
@@ -332,7 +320,7 @@ def exhaustive_distribution(g: Graph) -> ExactDistribution:
     total = math.factorial(g.n)
     perm_iter = permutations(range(g.n))
 
-    def fill(rows, start):
+    def fill(rows):
         rows[...] = list(islice(perm_iter, len(rows)))
 
     values, times = np.unique(_count_rows(g, total, fill), return_counts=True)
@@ -386,7 +374,7 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     rng = np.random.default_rng(seed)
     base = np.arange(g.n, dtype=np.int64)
 
-    def draw(rows, start):
+    def draw(rows):
         rows[...] = base
         rng.permuted(rows, axis=1, out=rows)
 

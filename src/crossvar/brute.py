@@ -50,7 +50,7 @@ def count_crossings_brute(g: Graph, order) -> int:
     second lies strictly between the endpoints of the first and the other
     does not.
     """
-    order = validate_arrangement(g, order)
+    order = validate_arrangement(g, order).tolist()
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i

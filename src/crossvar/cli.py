@@ -143,7 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_stats, p_var, p_z):
         p.add_argument("file", help="edge-list file")
     group = p_z.add_mutually_exclusive_group(required=True)
-    group.add_argument("--observed", type=_crossing_count, help="observed crossing count")
+    group.add_argument(
+        "--observed",
+        type=_crossing_count,
+        help="observed crossing count; a value that starts with '-' and is not"
+        " a plain negative number, such as -1_0, must be given as --observed=VALUE",
+    )
     group.add_argument(
         "--arrangement",
         help="file of vertex ids in left-to-right order, separated by whitespace"

@@ -2,7 +2,11 @@
 
 The corpus and the two equality checks (three-way frequency agreement,
 five-way variance agreement) are shared between the test suite and the
-``selftest`` CLI command.
+``selftest`` CLI command.  The frequency check takes the ``general``
+route's census, the per-wedge merge, through
+:func:`crossvar.variance.route_census`, so that the variance check's
+``reuse`` and ``closed`` routes, which read the pair table, are compared
+with a census from a different source of intersections.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from .frequencies import (
     frequencies_from_census,
     frequencies_from_subgraph_counts,
 )
-from .census import fast_census
 from .graph import Graph, compute_q
 from .variance import (
     builtin_rla_table,
+    route_census,
     variance_forest,
     variance_from_frequencies,
     variance_general,
@@ -82,7 +86,7 @@ def check_frequencies(name: str, g: Graph, report: SelftestReport, brute, patter
     """Three independent routes to the type frequencies must agree;
     ``brute`` and ``patterns`` are :func:`frequencies_brute` and
     :func:`frequencies_from_subgraph_counts` of ``g``."""
-    census = frequencies_from_census(fast_census(g), g.m)
+    census = frequencies_from_census(route_census(g, "general")[1], g.m)
     q = compute_q(g)
     for code in CONTRIBUTING_TYPES:
         report.comparisons += 2

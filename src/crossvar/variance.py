@@ -14,7 +14,10 @@ Several routes compute the same exact rational value:
   :mod:`crossvar.census` describes how the table is read block by block
   and why its sums stay exact.
 * ``variance_rla_closed``: single closed form for the uniform random
-  linear arrangement layout.
+  linear arrangement layout, over the census of the ``reuse`` route.  It
+  never takes ``auto``, which would give it the forest route on a forest:
+  a check of the forest route against the closed form then still compares
+  two different sources of intersections.
 """
 
 from __future__ import annotations
@@ -123,8 +126,10 @@ def route_census(g: Graph, algorithm: str = "auto") -> tuple[str, CensusReport, 
 
     This is the one place a route name is mapped to its census: a merge per
     edge and wedge for ``general``, the table of vertex pairs for ``reuse``
-    and none for ``forest``.  ``pairs`` is the table's number of distinct
-    pairs for ``reuse`` and ``None`` otherwise.
+    and none for ``forest``.  Every census in the package is taken here:
+    the census routes', the closed form's, ``crossvar stats``' and the
+    selftest's.  ``pairs`` is the table's number of distinct pairs for
+    ``reuse`` and ``None`` otherwise.
     """
     route = select_algorithm(g, algorithm)
     if route == "general":
@@ -167,8 +172,10 @@ def variance_forest(g: Graph, table: ExpectationTable | None = None) -> Variance
 
 
 def variance_rla_closed(g: Graph) -> VarianceResult:
-    """Uniform random linear arrangements via one integer closed form."""
-    c = fast_census(g)
+    """Uniform random linear arrangements via one integer closed form over
+    the ``reuse`` route's census, whatever the graph (see the module
+    docstring)."""
+    c = route_census(g, "reuse")[1]
     m = g.m
     scaled = (
         8 * (m + 2) * c.q

@@ -20,6 +20,7 @@ from crossvar.arrangements import (
     exhaustive_distribution,
     monte_carlo,
     parse_arrangement,
+    validate_arrangement,
     zscore,
 )
 from crossvar.brute import count_crossings_brute
@@ -39,6 +40,19 @@ from crossvar.generators import (
 )
 from crossvar.graph import Graph
 from crossvar.variance import variance_general
+
+
+def _count_positions(g, pos):
+    """Crossing counts of the position rows ``pos`` (``pos[r, v]`` is the
+    position of vertex ``v`` in arrangement ``r``), through the row driver."""
+    done = 0
+
+    def fill(rows):
+        nonlocal done
+        rows[...] = pos[done:done + len(rows)]
+        done += len(rows)
+
+    return arrangements._count_rows(g, len(pos), fill)
 
 
 @st.composite
@@ -126,7 +140,7 @@ class TestCountCrossings:
         expected = [count_crossings_brute(g, o) for o in orders]
         assert [count_crossings(g, o) for o in orders] == expected
         pos = np.argsort(np.array(orders), axis=1)
-        assert arrangements._positions_to_crossings(g, pos).tolist() == expected
+        assert _count_positions(g, pos).tolist() == expected
 
     def test_complete_graph_crosses_once_in_every_four_vertices(self):
         # any four vertices of K_n in any order span exactly one crossing
@@ -137,7 +151,7 @@ class TestCountCrossings:
             assert count_crossings(complete(n), order) == math.comb(n, 4)
         orders = [random.Random(i).sample(range(500), 500) for i in range(3)]
         pos = np.argsort(np.array(orders), axis=1)
-        got = arrangements._positions_to_crossings(complete(500), pos)
+        got = _count_positions(complete(500), pos)
         assert got.tolist() == [math.comb(500, 4)] * 3
 
     @settings(max_examples=60, deadline=None)
@@ -149,14 +163,14 @@ class TestCountCrossings:
         # small working-set caps split the rows into chunks of one or a few
         cap = data.draw(st.sampled_from([1, 2000, arrangements._SWEEP_BYTES]))
         with mock.patch.object(arrangements, "_SWEEP_BYTES", cap):
-            got = arrangements._positions_to_crossings(g, pos)
+            got = _count_positions(g, pos)
         assert got.tolist() == [count_crossings_brute(g, o) for o in orders]
 
 
 class TestParseArrangement:
     def test_basic(self):
         g = path(4)
-        assert parse_arrangement("2 0 3 1\n# done\n", g) == (2, 0, 3, 1)
+        assert parse_arrangement("2 0 3 1\n# done\n", g).tolist() == [2, 0, 3, 1]
 
     def test_rejects_garbage(self):
         with pytest.raises(ValidationError, match="vertex id 'one' in"):
@@ -165,7 +179,7 @@ class TestParseArrangement:
         for token in ("1_0", "+1", "\u0661"):
             with pytest.raises(ValidationError, match=re.escape(f"'{token}' in arrangement line 2")):
                 parse_arrangement(f"0 2 # one\n{token} 3 4 5 6 7 8 9\n", path(11))
-        assert parse_arrangement("0002 0 1\n", path(3)) == (2, 0, 1)
+        assert parse_arrangement("0002 0 1\n", path(3)).tolist() == [2, 0, 1]
 
     def test_error_on_a_large_order_names_a_short_token(self):
         n = 10**5
@@ -186,6 +200,24 @@ class TestParseArrangement:
     def test_error_names_the_first_bad_vertex(self, order, named):
         with pytest.raises(ValidationError, match=named):
             count_crossings(path(3), order)
+
+    @pytest.mark.parametrize("order", [(2, 0, 1), [1, 2, 0], range(3), np.array([0, 2, 1])])
+    def test_returns_the_order_as_int64_ids(self, order):
+        ids = validate_arrangement(path(3), order)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == list(order)
+
+    def test_int64_array_is_checked_without_a_python_pass(self):
+        g = path(1000)
+        order = np.random.default_rng(0).permutation(g.n)
+        expected = count_crossings(g, order.tolist())
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("np.fromiter called on an int64 array")
+
+        with mock.patch("numpy.fromiter", unavailable):
+            assert np.shares_memory(validate_arrangement(g, order), order)
+            assert count_crossings(g, order) == expected
 
     def test_error_on_a_large_order_stays_short(self):
         n = 10**5
@@ -438,10 +470,10 @@ class TestWorkspace:
             minimum=int(values.min()),
             maximum=int(values.max()),
         )
-        uncapped = arrangements._positions_to_crossings(g, pos)
+        uncapped = _count_positions(g, pos)
         with mock.patch.object(arrangements, "_SWEEP_BYTES", cap or arrangements._SWEEP_BYTES), \
                 mock.patch("numpy.empty", _dirty_empty):
-            got = arrangements._positions_to_crossings(g, pos)
+            got = _count_positions(g, pos)
             result = monte_carlo(g, samples, seed=seed)
         assert got.tolist() == uncapped.tolist() == values.tolist()
         assert result == drawn

@@ -202,13 +202,26 @@ class TestZscore:
         assert main(["zscore", str(path), "--observed", observed]) == code
         assert ("impossible" in capsys.readouterr().err) == (code == 2)
 
-    @pytest.mark.parametrize("observed", ["1_0", "\u0662", "+1", "-\u0662", "1.0", "", "-"])
+    @pytest.mark.parametrize("observed", [
+        "1_0", "\u0662", "+1", "-\u0662", "1.0", "", "-", "-1_0", "-+1",
+    ])
     def test_count_is_ascii_decimal_digits(self, c4_file, capsys, observed):
-        # int() takes the first three; a count is read as a vertex id is
+        # int() takes the first three; a count is read as a vertex id is.
+        # The last two start with '-' but are no plain negative numbers, so
+        # argparse reads them as the value only after '='
+        option_like = observed in ("-1_0", "-+1")
+        argv = [f"--observed={observed}"] if option_like else ["--observed", observed]
         with pytest.raises(SystemExit) as exited:
-            main(["zscore", c4_file, "--observed", observed])
+            main(["zscore", c4_file, *argv])
         assert exited.value.code == 2
         assert "is not ASCII decimal digits" in capsys.readouterr().err
+
+    def test_option_like_count_needs_an_equals_sign(self, c4_file, capsys):
+        # argparse takes '-1_0' for an option, so --observed has no value
+        with pytest.raises(SystemExit) as exited:
+            main(["zscore", c4_file, "--observed", "-1_0"])
+        assert exited.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_zero_variance_exits_4(self, star_file):
         assert main(["zscore", star_file, "--observed", "0"]) == 4

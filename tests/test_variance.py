@@ -2,11 +2,12 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossvar import graph as graph_module
+from crossvar import graph as graph_module, variance
 from crossvar.brute import brute_census, count_triangles_brute
 from crossvar.census import fast_census
 from crossvar.errors import NotAForestError, ValidationError
@@ -88,6 +89,19 @@ class TestRouteEquality:
     def test_quasi_star(self):
         g = quasi_star(8)
         assert variance_forest(g).variance == variance_naive(g).variance
+
+    @pytest.mark.parametrize("g", [
+        erdos_renyi(100, 0.5, seed=0),
+        Graph(3001, [(0, leaf) for leaf in range(1, 3001)] + [(1, 2)]),
+    ], ids=["er-100", "star-3000-plus-edge"])
+    def test_closed_form_reads_the_pair_table_not_the_merge(self, g):
+        def unavailable(g):
+            raise AssertionError("the closed form took the per-wedge merge")
+
+        with mock.patch.object(variance, "fast_census", unavailable):
+            closed = variance_rla_closed(g)
+        reuse = variance_general_reuse(g)
+        assert (closed.q, closed.variance) == (reuse.q, reuse.variance)
 
 
 @settings(max_examples=40, deadline=None)
