@@ -62,7 +62,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, read_number, vertex_ids
+from .graph import Graph, read_number, scan_ids, vertex_ids
 
 #: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
@@ -103,7 +103,19 @@ def parse_arrangement(text: str, g: Graph) -> np.ndarray:
     """Vertex ids separated by whitespace, across any number of lines;
     '#' starts a comment.  An id is ASCII decimal digits, as
     :func:`crossvar.graph.read_number` reads it.  The order is returned as
-    :func:`validate_arrangement` returns it."""
+    :func:`validate_arrangement` returns it.
+
+    The whole text is tokenised at once (:func:`crossvar.graph.scan_ids`);
+    text that this does not accept, which includes every malformed text, is
+    read again line by line, which names the first bad id and its line.
+    """
+    ids = scan_ids(text)
+    return validate_arrangement(g, _read_lines(text) if ids is None else ids)
+
+
+def _read_lines(text: str) -> list[int]:
+    """The ids of an arrangement text, line by line; raises at the first
+    id that is not ASCII decimal digits."""
     order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -115,7 +127,7 @@ def parse_arrangement(text: str, g: Graph) -> np.ndarray:
                 " is not ASCII decimal digits"
             )
         order += ids
-    return validate_arrangement(g, order)
+    return order
 
 
 def count_crossings(g: Graph, order) -> int:

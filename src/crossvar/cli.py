@@ -70,7 +70,7 @@ def _crossing_count(token: str) -> int:
     impossible rather than as malformed."""
     count = read_number(token.removeprefix("-"))
     if count is None:
-        raise argparse.ArgumentTypeError(f"crossing count {token!r} is not ASCII decimal digits")
+        raise ValidationError(f"crossing count {token!r} is not ASCII decimal digits")
     return -count if token.startswith("-") else count
 
 
@@ -97,9 +97,9 @@ def cmd_variance(args) -> dict:
 
 
 def cmd_zscore(args) -> dict:
+    observed = None if args.observed is None else _crossing_count(args.observed)
     g = load_graph(args.file)
     table = _load_table(args.layout)
-    observed = args.observed
     if args.arrangement is not None:
         with open(args.arrangement, "r", encoding="utf-8") as fh:
             observed = count_crossings(g, parse_arrangement(fh.read(), g))
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_z.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--observed",
-        type=_crossing_count,
         help="observed crossing count; a value that starts with '-' and is not"
         " a plain negative number, such as -1_0, must be given as --observed=VALUE",
     )

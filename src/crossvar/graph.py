@@ -358,11 +358,11 @@ def parse_edge_list(text: str) -> Graph:
 
 _COMMENT = re.compile(rb"#[^\n]*")
 _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
-# line breaks of str.splitlines beyond \n and \r, which the whole-text scan leaves
+# line breaks of str.splitlines beyond \n and \r, which the whole-text scans leave
 # to the line-by-line reading
 _OTHER_BREAKS_BYTES = re.compile(rb"[\x0b\x0c\x1c-\x1e]")
 _OTHER_BREAKS_STR = ("\x85", "\u2028", "\u2029")
-# longest token the whole-text scan decodes: MAX_VERTICES - 1 has 8 digits
+# longest token the whole-text scans decode: MAX_VERTICES - 1 has 8 digits
 _DIGITS = 8
 # the decode reads the 8 bytes ending at a token as one little-endian word;
 # a token of L digits is its top L bytes, which _KEEP[L] keeps
@@ -370,7 +370,7 @@ _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - L)) for L in range(9)], dtype=np.ui
 _ZEROS = np.uint64(0x3030303030303030)
 _BLANKS = re.compile(rb"[ \t\n]*")
 _TEXT_BYTES = b"0123456789 \t\n"
-# bytes of text per block of the whole-text scan, so that its temporaries
+# bytes of text per block of the edge-list scan, so that its temporaries
 # stay in cache; a block runs on to the end of its last line
 _BLOCK = 1 << 18
 
@@ -387,15 +387,9 @@ def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
     are left to the line-by-line reading.  The text is read in blocks of
     whole lines (:func:`_scan_block`), each token from one machine word.
     """
-    if not text.isascii() and any(c in text for c in _OTHER_BREAKS_STR):
+    data = _uncommented(text)
+    if data is None:
         return None
-    data = text.encode().replace(b"\r", b"\n")
-    if b"#" in data:
-        if _OTHER_BREAKS_BYTES.search(data):
-            return None
-        data = _COMMENT.sub(b"", data)
-    # trailing blanks change nothing, and the text then holds an 8-byte word
-    data = data.ljust(8)
     forced_n = None
     start = _BLANKS.match(data).end()
     if data.startswith(b"n", start):
@@ -411,8 +405,7 @@ def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
     # the bytes outside the text set are those of the directive, if any
     if data.translate(None, _TEXT_BYTES) != data[:start].translate(None, _TEXT_BYTES):
         return None
-    chars = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    chars, words = _views(data)
     blocks = []
     while start < len(data):
         end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
@@ -424,21 +417,62 @@ def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
     return np.concatenate(blocks or [np.empty(0, dtype=np.int64)]).reshape(-1, 2), forced_n
 
 
+def scan_ids(text: str) -> np.ndarray | None:
+    """The ids of ``text``, separated by whitespace across any number of
+    lines, as int64 in text order, or ``None`` when the text is not
+    plainly well formed.
+
+    Comments are cut as in an edge list; after that only digits, spaces,
+    tabs and line breaks may remain, and every id has at most 8 digits.
+    The whole text is tokenised at once, each id from one machine word
+    (:func:`_tokens`); it holds no directive and no lines to check, so the
+    ids are not checked against any range.
+    """
+    data = _uncommented(text)
+    if data is None or data.translate(None, _TEXT_BYTES):
+        return None
+    tokens = _tokens(*_views(data), 0)
+    return None if tokens is None else tokens[2]
+
+
+def _uncommented(text: str) -> bytes | None:
+    """``text`` as bytes, ``\\r`` read as ``\\n``, comments cut and blanks
+    added up to 8 bytes, or ``None`` if a comment might end at a line break
+    that the whole-text scans do not take (:meth:`str.splitlines` takes
+    more).  A line break outside a comment is left for the caller's byte
+    check to refuse."""
+    if not text.isascii() and any(c in text for c in _OTHER_BREAKS_STR):
+        return None
+    data = text.encode().replace(b"\r", b"\n")
+    if b"#" in data:
+        if _OTHER_BREAKS_BYTES.search(data):
+            return None
+        data = _COMMENT.sub(b"", data)
+    # trailing blanks change nothing, and the text then holds an 8-byte word
+    return data.ljust(8)
+
+
+def _views(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as bytes and as the overlapping 8-byte words that start at
+    each of its bytes but the last seven."""
+    chars = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    return chars, words
+
+
 def _scan_block(chars: np.ndarray, words: np.ndarray, lo: int) -> np.ndarray | None:
     """The vertex ids of the whole lines ``chars``, which start at byte
     ``lo`` of the text, two per edge, or ``None`` if they are not plainly
     well formed.  ``words[e]`` holds the eight bytes of the text from ``e``
     on.
     """
-    # digit[i + 1] for byte i, between two non-digits
-    digit = np.zeros(len(chars) + 2, dtype=bool)
-    np.greater_equal(chars, ord("0"), out=digit[1:-1])
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
+    tokens = _tokens(chars, words, lo)
+    if tokens is None:
+        return None
+    starts, ends, values = tokens
     if len(starts) == 0:
-        return np.empty(0, dtype=np.int64)
-    length = ends - starts
-    if len(starts) % 2 or length.max() > _DIGITS:
+        return values
+    if len(starts) % 2:
         return None
     # whether the gap after each token but the last holds a line break: the
     # two tokens of a pair share a line, and the next pair starts a new one.
@@ -454,10 +488,28 @@ def _scan_block(chars: np.ndarray, words: np.ndarray, lo: int) -> np.ndarray | N
         gap_breaks[wide] |= np.logical_or.reduceat(chars[at] == ord("\n"), offsets)
     if gap_breaks[0::2].any() or not gap_breaks[1::2].all():
         return None
-    values = _decode(words, ends + (lo - 8), length)
     if values.max() >= MAX_VERTICES or (values[0::2] == values[1::2]).any():
         return None
     return values
+
+
+def _tokens(
+    chars: np.ndarray, words: np.ndarray, lo: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The digit runs of ``chars``, which hold only digits, blanks and line
+    breaks and start at byte ``lo`` of the text: their starts and ends in
+    ``chars`` and their values as int64, or ``None`` if a run has more than
+    8 digits.  ``words[e]`` holds the eight bytes of the text from ``e`` on.
+    """
+    # digit[i + 1] for byte i, between two non-digits
+    digit = np.zeros(len(chars) + 2, dtype=bool)
+    np.greater_equal(chars, ord("0"), out=digit[1:-1])
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    length = ends - starts
+    if length.max(initial=0) > _DIGITS:
+        return None
+    return starts, ends, _decode(words, ends + (lo - 8), length)
 
 
 def _decode(words: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -530,8 +582,8 @@ def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:
 def read_number(token: str) -> int | None:
     """``token`` as a vertex id or vertex count, or ``None`` if it is not one.
 
-    This is the one grammar every reader takes, and the whole-text scan
-    holds to it byte by byte: ASCII decimal digits, leading zeros allowed.
+    This is the one grammar every reader takes, and the whole-text scans
+    hold to it byte by byte: ASCII decimal digits, leading zeros allowed.
     So ``+1``, ``1_0`` and non-ASCII digits are refused, although ``int``
     takes them.  A number of more than 640 digits after its leading zeros,
     far past every budget, is refused too: ``int`` reads 640 digits however

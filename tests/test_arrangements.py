@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossvar import arrangements
+from crossvar import arrangements, graph
 from crossvar.arrangements import (
     MonteCarloResult,
     chebyshev_pvalue_bound,
@@ -25,6 +25,7 @@ from crossvar.arrangements import (
 )
 from crossvar.brute import count_crossings_brute
 from crossvar.errors import (
+    CrossvarError,
     DegenerateStatisticsError,
     OracleBudgetError,
     ValidationError,
@@ -38,7 +39,7 @@ from crossvar.generators import (
     random_tree,
     star,
 )
-from crossvar.graph import Graph
+from crossvar.graph import Graph, scan_ids
 from crossvar.variance import variance_general
 
 
@@ -227,6 +228,86 @@ class TestParseArrangement:
             count_crossings(Graph(n, []), order)
         assert len(str(info.value)) < 200
         assert "vertex 7 appears 2 times" in str(info.value)
+
+
+def _parsed(read, text, g):
+    """What reading ``text`` as an order of ``g`` gives: the ids, or the error."""
+    try:
+        return read(text, g).tolist()
+    except CrossvarError as exc:
+        return type(exc), str(exc)
+
+
+def _read_line_by_line(text, g):
+    return validate_arrangement(g, arrangements._read_lines(text))
+
+
+_order_gap = st.sampled_from([" ", "\t", "\n", "\r", "\r\n", " \t\r\n", " # 1 c\n", "#\r"])
+# ids, ids of 9 digits or with leading zeros, and the other tokens and
+# breaks that the line-by-line reading takes or refuses
+_order_piece = st.one_of(
+    st.integers(0, 7).map(str),
+    st.builds(lambda v, zeros: "0" * zeros + str(v), st.integers(0, 7), st.integers(1, 9)),
+    st.sampled_from([
+        "123456789", "99999999", "33554432", "#", "x", "one", "\x0b", "\x0c", "\x1c", "\u2028",
+        "\u0662", "+", "_", "\u00e9", "# \u00e9\n", "# c\x0c", "#\x1c", "#\u2028", "\x85",
+    ]),
+)
+
+
+@st.composite
+def arrangement_texts(draw):
+    """``(n, text, order)``: an order of ``0..n-1`` between plain gaps and
+    comments, with ``order`` its ids; or such a text with up to four pieces
+    put in anywhere, with ``order`` ``None``."""
+    n = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(n)))
+    pieces = [draw(_order_gap)] + [str(v) + draw(_order_gap) for v in order]
+    if draw(st.booleans()):
+        return n, "".join(pieces), order
+    for _ in range(draw(st.integers(1, 4))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(_order_piece))
+    return n, "".join(pieces), None
+
+
+class TestArrangementScan:
+    @settings(max_examples=300, deadline=None)
+    @given(arrangement_texts())
+    def test_scan_agrees_with_the_line_by_line_reading(self, case):
+        n, text, order = case
+        g = Graph(n, [])
+        assert _parsed(parse_arrangement, text, g) == _parsed(_read_line_by_line, text, g)
+        ids = scan_ids(text)
+        if ids is not None:
+            assert ids.dtype == np.int64
+            assert ids.tolist() == arrangements._read_lines(text)
+        if order is not None:
+            assert ids is not None and ids.tolist() == order
+
+    @pytest.mark.parametrize("text", [
+        "0 1 2\x0b3", "# c\x0c0 1 2 3", "0 1 # c\u20282 3", "0 1\x852 3", "0 1 2 000000003",
+        "0 1 2 123456789", "0 1 2 3\r# c\r", "0\t1\r\n2 # \u00e9\r\n3", "# c\x85 0 1 2 3",
+    ])
+    def test_other_breaks_long_ids_and_comments(self, text):
+        g = Graph(4, [])
+        assert _parsed(parse_arrangement, text, g) == _parsed(_read_line_by_line, text, g)
+
+    @pytest.mark.parametrize("layout", ["one line", "crlf lines", "comment lines"])
+    def test_large_order_takes_no_python_pass_per_id(self, layout):
+        n = 10**5
+        order = np.random.default_rng(3).permutation(n).tolist()
+        text = {
+            "one line": " ".join(map(str, order)) + "\n",
+            "crlf lines": "".join(f"{v}\r\n" for v in order),
+            "comment lines": "".join(f"# id {i}\n{v}\n" for i, v in enumerate(order)),
+        }[layout]
+
+        def unavailable(token):
+            raise AssertionError("read_number called on an id")
+
+        with mock.patch.object(graph, "read_number", unavailable), \
+                mock.patch.object(arrangements, "read_number", unavailable):
+            assert parse_arrangement(text, Graph(n, [])).tolist() == order
 
 
 class TestExhaustive:
