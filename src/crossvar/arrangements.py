@@ -36,11 +36,17 @@ vectorised across edges and arrangements at once, and one driver,
 ``_count_rows``, feeds it rows: ``count_crossings`` fills one row, Monte
 Carlo and exhaustive enumeration fill chunks of rows.
 Ends, right ends and merge keys are int32, as every key is below
-``2n <= 2^26``.  A call counts all its chunks in one workspace of int32
+``2n <= 2^26``.  A counter counts all its chunks in one workspace of int32
 planes, allocated once for up to ``_chunk_rows(g)`` rows and written in
 place, so no chunk allocates arrays of its own; a chunk's working
 set stays near ``_SWEEP_BYTES`` = 2 MiB, so that it fits a core's L2
-cache.  The pair-by-pair count is kept as the oracle
+cache.  A call of several chunks counts them on one worker thread per CPU
+in the process's affinity mask, each with its own workspace and row
+buffer, while the calling thread fills the rows chunk after chunk, in
+order; so the rows, and every result, do not depend on how many CPUs there
+are, and memory grows by one workspace and one row buffer per worker.  A
+call of one chunk, and a process allowed one CPU, count inline and start
+no thread.  The pair-by-pair count is kept as the oracle
 :func:`crossvar.brute.count_crossings_brute`.
 """
 
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import reprlib
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
@@ -173,21 +181,76 @@ def _layout(m: int) -> tuple[int, int, np.dtype, int]:
 def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     """The crossing counts of ``total`` arrangements, as an int64 array.
 
-    The rows are counted in chunks of up to ``_chunk_rows(g)``, all in one
+    The rows are counted in chunks of up to ``_chunk_rows(g)``.
+    ``fill(rows)`` writes the next ``len(rows)`` position rows into
+    ``rows``: ``rows[r, v]`` is the position of vertex ``v`` in arrangement
+    ``r``.  It is called on this thread, once per chunk and in chunk order,
+    so the rows, and every result, do not depend on who counts them.  A
+    call of one chunk, or a process allowed one CPU, counts inline in one
     workspace and one int64 row buffer, so memory is O(rows·(n + m)) for
-    small batches and bounded for large ones.  ``fill(rows)`` writes the
-    next ``len(rows)`` position rows into ``rows``: ``rows[r, v]`` is the
-    position of vertex ``v`` in arrangement ``r``.
+    small batches and bounded for large ones.  Otherwise each filled chunk
+    goes to one of up to one worker thread per CPU in the process's
+    affinity mask, each kept to its own CPU, with its own workspace and row
+    buffer: numpy's sorts and ufuncs release the GIL, and memory grows by
+    one workspace and one row buffer per worker.  An error a worker raises
+    is raised by the call.
     """
     step = max(1, min(total, _chunk_rows(g)))
-    count = _crossing_counter(g, step)
-    pos = np.empty((step, g.n), dtype=np.int64)
     out = np.empty(total, dtype=np.int64)
-    for start in range(0, total, step):
-        rows = pos[:min(step, total - start)]
-        fill(rows)
-        count(rows, out[start:start + len(rows)])
+    starts = range(0, total, step)
+    cpus = _cpus()
+    workers = min(len(starts), len(cpus))
+    if workers < 2:
+        count = _crossing_counter(g, step)
+        pos = np.empty((step, g.n), dtype=np.int64)
+        for start in starts:
+            rows = pos[:min(step, total - start)]
+            fill(rows)
+            count(rows, out[start:start + len(rows)])
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    # one workspace per worker thread, each kept to its own CPU: a scheduler
+    # may leave every thread of a process on the CPU that started it
+    counters = SimpleQueue()
+    for cpu in cpus[:workers]:
+        counters.put((_crossing_counter(g, step), cpu))
+    local = threading.local()
+
+    def start_worker():
+        local.count, cpu = counters.get()
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except (AttributeError, OSError):
+            pass
+
+    def work(rows, start):
+        local.count(rows, out[start:start + len(rows)])
+
+    # one row buffer per worker, filled again once the chunk it held is
+    # counted; result() raises what the count raised
+    buffers = [np.empty((step, g.n), dtype=np.int64) for _ in range(workers)]
+    pending = [None] * workers
+    with ThreadPoolExecutor(workers, initializer=start_worker) as pool:
+        for chunk, start in enumerate(starts):
+            k = chunk % workers
+            if pending[k] is not None:
+                pending[k].result()
+            rows = buffers[k][:min(step, total - start)]
+            fill(rows)
+            pending[k] = pool.submit(work, rows, start)
+        for job in pending:
+            job.result()
     return out
+
+
+def _cpus() -> list[int]:
+    """The ids of the CPUs this process may run on."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return list(range(os.cpu_count() or 1))
 
 
 def _crossing_counter(g: Graph, rows: int):
@@ -361,11 +424,13 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     """Sample crossing counts from uniformly random arrangements.
 
     Deterministic for a fixed seed.  Arrangements are drawn one chunk of
-    ``_chunk_rows(g)`` rows at a time into one reused row buffer and counted
-    by the module's merge count in one workspace for the whole call,
-    vectorised across the rows: O(m log² m) time per row, and memory near
-    ``_SWEEP_BYTES`` plus the samples.  Each row is shuffled in turn from one
-    generator, so the chunk size does not change the draws.  The rows are
+    ``_chunk_rows(g)`` rows at a time into a reused row buffer and counted
+    by the module's merge count, vectorised across the rows: O(m log² m)
+    time per row.  The chunks are counted on one worker per CPU the process
+    may use, each in its own workspace, so memory is near ``_SWEEP_BYTES``
+    per worker plus the samples.  Each row is shuffled in turn from one
+    generator on the calling thread, in chunk order, so neither the chunk
+    size nor the CPU count changes the draws or the result.  The rows are
     int64, which numpy's shuffle swaps fastest; a shuffle draws the same
     permutation for any item size, and the count reads the rows' low int32
     words.  More than :data:`MAX_SAMPLES` samples are refused before

@@ -4,8 +4,8 @@ Commands: ``stats`` (census summary), ``variance`` (exact crossing
 variance), ``zscore`` (standardized observed crossings plus tail bounds),
 ``selftest`` (built-in equality suite).
 
-Exit codes: 0 success, 1 selftest failure, 2 input/parse error,
-3 algorithm not applicable, 4 degenerate statistics.
+Exit codes: 0 success, 1 selftest failure, 2 input/parse error or out of
+memory, 3 algorithm not applicable, 4 degenerate statistics.
 """
 
 from __future__ import annotations
@@ -181,6 +181,11 @@ def main(argv=None) -> int:
             return EXIT_ALGORITHM
         if isinstance(exc, DegenerateStatisticsError):
             return EXIT_DEGENERATE
+        return EXIT_PARSE
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError has no text
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_PARSE
     # only the selftest's payload has "ok"
     return EXIT_OK if payload.get("ok", True) else EXIT_SELFTEST

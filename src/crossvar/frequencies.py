@@ -344,7 +344,10 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
 
     Lines are ``delta = p/q`` plus, for each of the nine types, either
     ``p_<code> = p/q`` (crossing-product probability) or ``E_<code> = p/q``
-    (centered expectation).  ``#`` starts a comment.
+    (centered expectation).  ``#`` starts a comment.  A table is refused
+    unless it could be a layout's: delta in [0, 1], and every
+    ``p_<code> = E_<code> + delta²`` in [max(0, 2·delta − 1), delta].  The
+    built-in table meets both ends, with ``p_04 = 0`` and ``p_24 = delta``.
     """
     delta: Fraction | None = None
     p_vals: dict[str, Fraction] = {}
@@ -381,6 +384,16 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
             gamma[code] = p_vals[code] - delta * delta
         else:
             problems.append(f"missing type {code}")
+    # probabilities: each pair crosses with probability delta, and both of
+    # two pairs with p_code = gamma + delta^2, which lies within the Fréchet
+    # bounds [max(0, 2·delta − 1), delta] of two events of probability delta
+    if not 0 <= delta <= 1:
+        problems.append(f"delta = {delta} outside [0, 1]")
+    elif "missing delta" not in problems:
+        low = max(Fraction(0), 2 * delta - 1)
+        for code, g in gamma.items():
+            if not low <= g + delta * delta <= delta:
+                problems.append(f"p_{code} = {g + delta * delta} outside [{low}, {delta}]")
     # layout-class consistency: an identical pair has product probability
     # delta, and fully disjoint / one-shared-vertex pairs are independent
     if "24" in gamma and gamma["24"] != delta - delta * delta:

@@ -99,6 +99,12 @@ def _result(
     q: int, variance: Fraction, algorithm: str, table: ExpectationTable,
     hash_table_size: int | None = None,
 ) -> VarianceResult:
+    if variance < 0:
+        # a table may pass load_layout_table's checks and still be no layout
+        raise ValidationError(
+            f"layout table {table.name!r} gives this graph a negative variance,"
+            f" {variance}: it is not the table of a layout"
+        )
     return VarianceResult(
         layout=table.name,
         algorithm=algorithm,

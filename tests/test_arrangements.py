@@ -1,8 +1,11 @@
 """Crossing counts of concrete arrangements, enumeration, sampling, bounds."""
 
 import math
+import os
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -41,6 +44,23 @@ from crossvar.generators import (
 )
 from crossvar.graph import Graph, scan_ids
 from crossvar.variance import variance_general
+
+
+def _on_cpus(k):
+    """``os.sched_getaffinity`` reporting ``k`` CPUs, whether or not they exist."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(k)))
+
+
+def _draws(g, total, seed):
+    """Crossing counts of ``total`` rows drawn as monte_carlo draws them."""
+    rng = np.random.default_rng(seed)
+    base = np.arange(g.n, dtype=np.int64)
+
+    def draw(rows):
+        rows[...] = base
+        rng.permuted(rows, axis=1, out=rows)
+
+    return arrangements._count_rows(g, total, draw)
 
 
 def _count_positions(g, pos):
@@ -413,18 +433,21 @@ class TestMonteCarlo:
         assert peak <= 2 * arrangements._SWEEP_BYTES
 
     def test_whole_call_stays_near_the_sweep_budget_plus_the_samples(self):
-        # one workspace and one row buffer for all chunks of the call, beside
-        # the int64 results: no chunk's arrays outlive it or pile up
+        # one workspace and one row buffer per worker for all chunks of the
+        # call, beside the int64 results: no chunk's arrays outlive it or pile
+        # up, and memory grows by one chunk's budget per CPU, not per sample
         rnd = random.Random(0)
         g = Graph(64, rnd.sample(list(combinations(range(64), 2)), 128))
         samples = 8192
-        tracemalloc.start()
-        try:
-            monte_carlo(g, samples, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * arrangements._SWEEP_BYTES + 8 * samples
+        for cpus in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                with _on_cpus(cpus):
+                    monte_carlo(g, samples, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= (cpus + 1) * arrangements._SWEEP_BYTES + 8 * samples
 
     def test_refuses_too_many_samples_before_allocating(self):
         with mock.patch("numpy.empty", side_effect=AssertionError("allocated")) as empty:
@@ -491,6 +514,14 @@ class TestChebyshev:
 
     def test_clamped_to_one(self):
         assert chebyshev_pvalue_bound(2, Fraction(1), Fraction(100)) == 1
+
+    @pytest.mark.parametrize("expectation,side", [
+        (Fraction(2, 3), "upper"), (Fraction(4, 3), "lower"),
+    ])
+    def test_deviation_below_one_on_its_own_side(self, expectation, side):
+        # |dev| = 1/3 on the side the bound is taken: Var/(Var + dev^2), not
+        # the vacuous 1 of the wrong side
+        assert chebyshev_pvalue_bound(1, expectation, Fraction(2, 9), side) == Fraction(2, 3)
 
     def test_bad_side(self):
         with pytest.raises(ValidationError):
@@ -573,3 +604,122 @@ class TestWorkspace:
             value = count_crossings_brute(g, np.argsort(pos).tolist())
             oracle[value] = oracle.get(value, 0) + 1
         assert expected.counts == oracle
+
+
+_SMALL_ER = erdos_renyi(10, 0.4, seed=3)
+_GNM64 = Graph(64, random.Random(0).sample(list(combinations(range(64), 2)), 128))
+
+
+class TestWorkers:
+    """Chunks are counted on one worker per CPU, while the rows are drawn on
+    the calling thread in chunk order, so no result depends on the CPU count."""
+
+    @pytest.mark.parametrize("g,samples,cap", [
+        # 301 one-row chunks; 38 chunks of 8 rows, the last of 5; 11 chunks
+        # of 728 rows, the last of 720
+        (_SMALL_ER, 301, 1),
+        (_SMALL_ER, 301, 5000),
+        (_GNM64, 8000, None),
+    ], ids=["er10-cap1", "er10-cap5000", "gnm64"])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_monte_carlo_is_bit_identical_on_any_cpu_count(self, g, samples, cap, seed):
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap or arrangements._SWEEP_BYTES):
+            # chunk counts that 3 workers do not divide; 301 and 11 are odd too
+            assert -(-samples // arrangements._chunk_rows(g)) % 3
+            with _on_cpus(1):
+                values = _draws(g, samples, seed).tolist()
+                result = monte_carlo(g, samples, seed=seed)
+            # 3 workers on fewer cores, switching threads every 10 µs: a row
+            # counted twice, lost or written into another's slice shows
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for cpus in (2, 3):
+                    with _on_cpus(cpus):
+                        assert _draws(g, samples, seed).tolist() == values
+                        assert monte_carlo(g, samples, seed=seed) == result
+            finally:
+                sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cap", [1, 5000])
+    def test_exhaustive_is_bit_identical_on_any_cpu_count(self, cap):
+        # 5040 one-row chunks, or 360 chunks of 14 rows
+        g = Graph(7, random.Random(5).sample(list(combinations(range(7), 2)), 11))
+        with mock.patch.object(arrangements, "_SWEEP_BYTES", cap):
+            with _on_cpus(1):
+                expected = exhaustive_distribution(g)
+            for cpus in (2, 3):
+                with _on_cpus(cpus):
+                    assert exhaustive_distribution(g) == expected
+
+    def test_one_cpu_or_one_chunk_starts_no_thread(self):
+        no_thread = mock.patch.object(
+            threading, "Thread", side_effect=AssertionError("started a thread")
+        )
+        with no_thread, _on_cpus(1):
+            assert monte_carlo(_GNM64, 8000, seed=0).samples == 8000
+        with no_thread, _on_cpus(2):
+            monte_carlo(_GNM64, arrangements._chunk_rows(_GNM64), seed=0)
+            count_crossings(_GNM64, list(range(64)))
+            exhaustive_distribution(cycle(6))
+
+    @pytest.mark.parametrize("cpus,samples,workers", [(3, 8000, 3), (3, 1000, 2), (2, 8000, 2)])
+    def test_one_worker_per_cpu_up_to_one_per_chunk(self, cpus, samples, workers):
+        started = []
+        thread = threading.Thread
+
+        def spy(*args, **kwargs):
+            started.append(thread(*args, **kwargs))
+            return started[-1]
+
+        with mock.patch.object(threading, "Thread", side_effect=spy), _on_cpus(cpus):
+            monte_carlo(_GNM64, samples, seed=0)
+        assert len(started) == workers
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("fails", ["second", "last"])
+    def test_a_worker_error_is_raised_by_the_call(self, fails):
+        # a worker's second chunk, or the last chunk of the call: the only one
+        # of 720 rows, where the others have 728
+        counter = arrangements._crossing_counter
+
+        def failing_counter(g, rows):
+            count = counter(g, rows)
+            calls = []
+
+            def fail(pos, out):
+                calls.append(len(pos))
+                if (len(calls) == 2) if fails == "second" else (len(pos) == 720):
+                    raise ZeroDivisionError(f"{fails} chunk")
+                count(pos, out)
+
+            return fail
+
+        before = threading.active_count()
+        with mock.patch.object(arrangements, "_crossing_counter", failing_counter), \
+                _on_cpus(2):
+            with pytest.raises(ZeroDivisionError, match=f"{fails} chunk"):
+                monte_carlo(_GNM64, 8000, seed=0)
+        assert threading.active_count() == before
+
+    def test_a_fill_error_stops_the_workers(self):
+        chunks = []
+
+        def fill(rows):
+            chunks.append(len(rows))
+            if len(chunks) == 4:
+                raise KeyError("chunk four")
+            rows[...] = np.arange(_GNM64.n)
+
+        before = threading.active_count()
+        with _on_cpus(2), pytest.raises(KeyError, match="chunk four"):
+            arrangements._count_rows(_GNM64, 8000, fill)
+        assert len(chunks) == 4
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+    def test_the_callers_affinity_is_left_as_it_was(self):
+        # each worker keeps to one CPU; the calling thread keeps its mask
+        mask = os.sched_getaffinity(0)
+        monte_carlo(_GNM64, 8000, seed=0)
+        assert os.sched_getaffinity(0) == mask

@@ -16,7 +16,7 @@ from crossvar import variance
 from crossvar.census import fast_census, table_census
 from crossvar.cli import main
 from crossvar.frequencies import PAIR_BUDGET, builtin_rla_table
-from crossvar.generators import erdos_renyi, random_tree
+from crossvar.generators import complete, erdos_renyi, random_tree
 from crossvar.graph import compute_q
 from crossvar.variance import compute_variance
 
@@ -160,6 +160,34 @@ class TestVariance:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_table_of_no_layout_exits_2(self, tmp_path, capsys):
+        # this table printed variance = -86/9 for a 4-cycle plus a chord
+        table = tmp_path / "bad.table"
+        table.write_text("delta = 1/3\nE_24 = 2/9\nE_00 = 0\nE_01 = 0\n" + "".join(
+            f"E_{code} = -5\n" for code in ("021", "022", "03", "04", "12", "13")
+        ))
+        graph = tmp_path / "chord.txt"
+        graph.write_text(C4_EDGES + "0 2\n")
+        assert main(["variance", str(graph), "--layout", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid layout table: p_021 = -44/9 outside [0, 1/3]")
+
+    def test_negative_variance_exits_2(self, tmp_path, capsys):
+        # every product probability 0 but p_24 = delta and p_00 = p_01 =
+        # delta^2 meets the bounds of load_layout_table, yet is no layout: K5
+        # gets a negative variance
+        table = tmp_path / "zero.table"
+        table.write_text("delta = 1/3\np_24 = 1/3\np_00 = 1/9\np_01 = 1/9\n" + "".join(
+            f"p_{code} = 0\n" for code in ("021", "022", "03", "04", "12", "13")
+        ))
+        graph = write_graph(tmp_path / "k5.txt", complete(5))
+        assert main(["variance", graph, "--layout", str(table)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: layout table {str(table)!r} gives this graph a negative variance,"
+            " -20: it is not the table of a layout\n"
+        )
+
     def test_json_round_trips(self, tmp_path, capsys):
         # every --algorithm choice prints the library's exact values
         er = erdos_renyi(9, 0.5, seed=2)
@@ -248,6 +276,53 @@ class TestSelftest:
         for flag in (["--seed", "3"], ["--max-n", "8"], ["--er-seeds", "2"]):
             with pytest.raises(SystemExit):
                 main(["selftest", "--quick", *flag])
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_2_with_one_line(self, c4_file, capsys):
+        # a bare MemoryError, as Python's own allocations raise it, has no text
+        with mock.patch("crossvar.cli.load_graph", side_effect=MemoryError):
+            assert main(["variance", c4_file]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    @pytest.mark.skipif(
+        not (sys.platform.startswith("linux") and os.path.exists("/proc/self/statm")),
+        reason="reads the address-space size from /proc",
+    )
+    def test_address_space_limit_exits_2(self, tmp_path, c4_file):
+        # the CLI in a child whose address space may grow by MARGIN past its
+        # size once crossvar is imported (RLIMIT_AS, set in the child only).
+        # Measured: the 4-cycle runs with 1 MiB to spare, while n = 2^25 − 1
+        # needs 256 MiB arrays; the n=2^25-1 graph takes 1.3 GB unlimited.
+        margin = 64 * 2**20
+        script = (
+            "import resource, sys\n"
+            "from crossvar.cli import main\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, (size + {margin}, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(crossvar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n=33554431\n0 1\n")
+
+        def run(path):
+            return subprocess.run(
+                [sys.executable, "-c", script, "variance", path],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        small = run(c4_file)
+        assert (small.returncode, small.stderr) == (0, ""), small.stderr
+        proc = run(str(huge))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestCommands:

@@ -1,5 +1,6 @@
 """Product-type classification and the three frequency routes."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -193,6 +194,47 @@ p_24 = 1/3
     def test_nonzero_null_type_rejected(self):
         text = self.RLA_TEXT.replace("p_00 = 1/9", "p_00 = 1/8")
         with pytest.raises(ValidationError, match="00"):
+            load_layout_table(text)
+
+    @pytest.mark.parametrize("delta", ["-1/3", "4/3"])
+    def test_delta_outside_the_unit_interval_rejected(self, delta):
+        text = self.RLA_TEXT.replace("delta = 1/3", f"delta = {delta}")
+        with pytest.raises(ValidationError, match=re.escape(f"delta = {delta} outside [0, 1]")):
+            load_layout_table(text)
+
+    @pytest.mark.parametrize("line,message", [
+        ("p_04 = -1/90", "p_04 = -1/90 outside [0, 1/3]"),
+        ("p_04 = 2/5", "p_04 = 2/5 outside [0, 1/3]"),
+        ("E_04 = -1/8", "p_04 = -1/72 outside [0, 1/3]"),
+    ])
+    def test_product_probability_outside_its_frechet_bounds_rejected(self, line, message):
+        text = self.RLA_TEXT.replace("p_04 = 0", line)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_layout_table(text)
+
+    def test_lower_frechet_bound_above_zero(self):
+        # with delta = 3/4 two crossing events overlap in at least 1/2
+        text = (
+            "delta = 3/4\np_00 = 9/16\np_01 = 9/16\np_24 = 3/4\n"
+            + "".join(f"p_{code} = 1/2\n" for code in ("021", "022", "03", "12", "13"))
+        )
+        assert load_layout_table(text + "p_04 = 1/2\n").gamma["04"] == Fraction(-1, 16)
+        with pytest.raises(ValidationError, match=re.escape("p_04 = 1/4 outside [1/2, 3/4]")):
+            load_layout_table(text + "p_04 = 1/4\n")
+
+    def test_builtin_table_meets_both_frechet_ends(self):
+        t = builtin_rla_table()
+        p = {code: g + t.delta ** 2 for code, g in t.gamma.items()}
+        assert p["04"] == 0 and p["24"] == t.delta
+        assert all(0 <= x <= t.delta for x in p.values())
+        assert load_layout_table(self.RLA_TEXT).gamma == t.gamma
+
+    def test_table_of_no_layout_rejected(self):
+        # E = -5 puts every other product probability below zero
+        text = "delta = 1/3\nE_24 = 2/9\nE_00 = 0\nE_01 = 0\n" + "".join(
+            f"E_{code} = -5\n" for code in ("021", "022", "03", "04", "12", "13")
+        )
+        with pytest.raises(ValidationError, match=re.escape("p_04 = -44/9 outside [0, 1/3]")):
             load_layout_table(text)
 
 

@@ -465,6 +465,12 @@ class TestBudget:
         with pytest.raises(ValidationError, match="line 1"):
             graph._scan_lines(f"n={MAX_VERTICES + 1}\n")
 
+    @pytest.mark.parametrize("text", ["n=3\n0 1\n2 5\n", "n=3\n0 1\x852 5\n"])
+    def test_n_below_the_largest_id_is_named_in_full(self, text):
+        # through the whole-text scan, and through the line reader (\x85)
+        with pytest.raises(ValidationError, match=r"^n=3 smaller than largest vertex id 5$"):
+            parse_edge_list(text)
+
     def test_graph_refuses_oversized_n(self):
         with pytest.raises(ValidationError):
             Graph(10 ** 12, [])
