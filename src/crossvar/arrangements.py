@@ -42,12 +42,14 @@ place, so no chunk allocates arrays of its own; a chunk's working
 set stays near ``_SWEEP_BYTES`` = 2 MiB, so that it fits a core's L2
 cache.  A call of several chunks counts them on one worker thread per CPU
 in the process's affinity mask, each with its own workspace and row
-buffer, while the calling thread fills the rows chunk after chunk, in
-order; so the rows, and every result, do not depend on how many CPUs there
-are, and memory grows by one workspace and one row buffer per worker.  A
-call of one chunk, and a process allowed one CPU, count inline and start
-no thread.  The pair-by-pair count is kept as the oracle
-:func:`crossvar.brute.count_crossings_brute`.
+buffer, and the workers draw their chunks in turn: holding one lock, a
+worker fills the next chunk, in chunk order, and it counts the chunk after
+its turn, while another worker fills.  So the rows, and every result, do
+not depend on how many CPUs there are, one worker's draw overlaps the
+others' counts, and memory grows by one workspace and one row buffer per
+worker.  A call of one chunk, and a process allowed one CPU, run the same
+loop inline and start no thread.  The pair-by-pair count is kept as the
+oracle :func:`crossvar.brute.count_crossings_brute`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import os
 import reprlib
 import sys
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
@@ -66,7 +69,6 @@ import numpy as np
 
 from .errors import (
     DegenerateStatisticsError,
-    InternalInconsistencyError,
     OracleBudgetError,
     ValidationError,
 )
@@ -184,73 +186,81 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     The rows are counted in chunks of up to ``_chunk_rows(g)``.
     ``fill(rows)`` writes the next ``len(rows)`` position rows into
     ``rows``: ``rows[r, v]`` is the position of vertex ``v`` in arrangement
-    ``r``.  It is called on this thread, once per chunk and in chunk order,
-    so the rows, and every result, do not depend on who counts them.  A
-    call of one chunk, or a process allowed one CPU, counts inline in one
-    workspace and one int64 row buffer, so memory is O(rows·(n + m)) for
-    small batches and bounded for large ones.  Otherwise each filled chunk
-    goes to one of up to one worker thread per CPU in the process's
-    affinity mask, each kept to its own CPU, with its own workspace and row
-    buffer: numpy's sorts and ufuncs release the GIL, and memory grows by
-    one workspace and one row buffer per worker.  An error a worker raises
-    is raised by the call.
+    ``r``.  Every worker runs one loop, with its own workspace and int64
+    row buffer: holding one turn lock, it takes the next chunk and fills it,
+    so ``fill`` runs on one thread at a time, once per chunk and in chunk
+    order, and the rows, and every result, do not depend on who counts
+    them; it counts the chunk after its turn, so one worker's fill overlaps
+    the others' counts.  A call of one chunk, or a process allowed one CPU,
+    runs the loop inline and starts no thread, so memory is O(rows·(n + m))
+    for small batches and bounded for large ones.  Otherwise the loop runs
+    on one thread per CPU in the process's affinity mask, up to one per
+    chunk, each kept to its own CPU: numpy's sorts and ufuncs release the
+    GIL, and memory grows by one workspace and one row buffer per worker.
+    The first error, from ``fill`` or from a count, stops every worker at
+    its next turn and is raised by the call; an interrupt of the calling
+    thread stops them too.
     """
     step = max(1, min(total, _chunk_rows(g)))
     out = np.empty(total, dtype=np.int64)
-    starts = range(0, total, step)
-    cpus = _cpus()
-    workers = min(len(starts), len(cpus))
-    if workers < 2:
-        count = _crossing_counter(g, step)
-        pos = np.empty((step, g.n), dtype=np.int64)
-        for start in starts:
-            rows = pos[:min(step, total - start)]
-            fill(rows)
+    starts = iter(range(0, total, step))
+    turn = threading.Lock()
+    failed = []
+
+    def work(count, pos):
+        while True:
+            with turn:
+                start = None if failed else next(starts, None)
+                if start is None:
+                    return
+                rows = pos[:min(step, total - start)]
+                # marked failed until fill returns, so that no turn follows
+                # a fill that raised
+                failed.append(start)
+                fill(rows)
+                failed.pop()
             count(rows, out[start:start + len(rows)])
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
 
-    # one workspace per worker thread, each kept to its own CPU: a scheduler
-    # may leave every thread of a process on the CPU that started it
-    counters = SimpleQueue()
-    for cpu in cpus[:workers]:
-        counters.put((_crossing_counter(g, step), cpu))
-    local = threading.local()
-
-    def start_worker():
-        local.count, cpu = counters.get()
-        try:
+    def pinned(outcome, cpu, *job):
+        # a scheduler may leave every thread of a process on the CPU that
+        # started it
+        with suppress(AttributeError, OSError):
             os.sched_setaffinity(0, {cpu})
-        except (AttributeError, OSError):
-            pass
+        try:
+            outcome.set_result(work(*job))
+        except BaseException as exc:
+            outcome.set_exception(exc)
 
-    def work(rows, start):
-        local.count(rows, out[start:start + len(rows)])
-
-    # one row buffer per worker, filled again once the chunk it held is
-    # counted; result() raises what the count raised
-    buffers = [np.empty((step, g.n), dtype=np.int64) for _ in range(workers)]
-    pending = [None] * workers
-    with ThreadPoolExecutor(workers, initializer=start_worker) as pool:
-        for chunk, start in enumerate(starts):
-            k = chunk % workers
-            if pending[k] is not None:
-                pending[k].result()
-            rows = buffers[k][:min(step, total - start)]
-            fill(rows)
-            pending[k] = pool.submit(work, rows, start)
-        for job in pending:
-            job.result()
-    return out
-
-
-def _cpus() -> list[int]:
-    """The ids of the CPUs this process may run on."""
     try:
-        return sorted(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
-        return list(range(os.cpu_count() or 1))
+        cpus = list(range(os.cpu_count() or 1))
+    # up to one worker per chunk, each with a workspace and a row buffer
+    # allocated on this thread, so that no worker's allocator arena holds
+    # memory of its own
+    jobs = [(_crossing_counter(g, step), np.empty((step, g.n), dtype=np.int64))
+            for _ in cpus[:max(1, -(-total // step))]]
+    if len(jobs) < 2:
+        work(*jobs[0])
+        return out
+    from concurrent.futures import Future, as_completed
+
+    # each worker's outcome: result() raises here what the worker raised
+    outcomes = [Future() for _ in jobs]
+    threads = [threading.Thread(target=pinned, args=(outcome, cpu, *job))
+               for outcome, cpu, job in zip(outcomes, cpus, jobs)]
+    for thread in threads:
+        thread.start()
+    try:
+        for outcome in as_completed(outcomes):
+            outcome.result()
+    finally:
+        # the first error, or an interrupt of this thread, stops every
+        # worker at its next turn
+        failed.append(None)
+        for thread in threads:
+            thread.join()
+    return out
 
 
 def _crossing_counter(g: Graph, rows: int):
@@ -400,8 +410,6 @@ def exhaustive_distribution(g: Graph) -> ExactDistribution:
 
     values, times = np.unique(_count_rows(g, total, fill), return_counts=True)
     counts = dict(zip(values.tolist(), times.tolist()))
-    if sum(counts.values()) != total:
-        raise InternalInconsistencyError("crossing counts do not cover all n! arrangements")
     s1 = sum(v * c for v, c in counts.items())
     s2 = sum(v * v * c for v, c in counts.items())
     mean = Fraction(s1, total)
@@ -426,14 +434,15 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     Deterministic for a fixed seed.  Arrangements are drawn one chunk of
     ``_chunk_rows(g)`` rows at a time into a reused row buffer and counted
     by the module's merge count, vectorised across the rows: O(m log² m)
-    time per row.  The chunks are counted on one worker per CPU the process
-    may use, each in its own workspace, so memory is near ``_SWEEP_BYTES``
-    per worker plus the samples.  Each row is shuffled in turn from one
-    generator on the calling thread, in chunk order, so neither the chunk
-    size nor the CPU count changes the draws or the result.  The rows are
-    int64, which numpy's shuffle swaps fastest; a shuffle draws the same
-    permutation for any item size, and the count reads the rows' low int32
-    words.  More than :data:`MAX_SAMPLES` samples are refused before
+    time per row.  The chunks are drawn and counted on one worker per CPU
+    the process may use, each in its own workspace and row buffer, so memory
+    is near ``_SWEEP_BYTES`` per worker plus the samples.  The workers draw
+    their chunks in turn, in chunk order, each row shuffled from the one
+    generator, so neither the chunk size nor the CPU count changes the draws
+    or the result; a worker counts its chunk while the next one draws.  The
+    rows are int64, which numpy's shuffle swaps fastest; a shuffle draws the
+    same permutation for any item size, and the count reads the rows' low
+    int32 words.  More than :data:`MAX_SAMPLES` samples are refused before
     anything is allocated.
     """
     try:

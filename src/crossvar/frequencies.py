@@ -43,7 +43,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, compute_q
+from .graph import Graph, compute_q, read_number
 
 PRODUCT_TYPES = ("00", "01", "021", "022", "03", "04", "12", "13", "24")
 
@@ -344,7 +344,10 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
 
     Lines are ``delta = p/q`` plus, for each of the nine types, either
     ``p_<code> = p/q`` (crossing-product probability) or ``E_<code> = p/q``
-    (centered expectation).  ``#`` starts a comment.  A table is refused
+    (centered expectation).  ``#`` starts a comment.  A value is an optional
+    ``-``, ASCII decimal digits and an optional ``/`` with the digits of a
+    nonzero denominator (:func:`_read_rational`); any other value raises
+    :class:`EdgeListParseError` naming its line.  A table is refused
     unless it could be a layout's: delta in [0, 1], and every
     ``p_<code> = E_<code> + delta²`` in [max(0, 2·delta − 1), delta].  The
     built-in table meets both ends, with ``p_04 = 0`` and ``p_24 = delta``.
@@ -359,10 +362,12 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
         if "=" not in line:
             raise EdgeListParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
-        try:
-            val = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise EdgeListParseError(f"non-rational value {value!r}", lineno) from None
+        val = _read_rational(value)
+        if val is None:
+            raise EdgeListParseError(
+                f"value {value!r} is not [-]p[/q] in ASCII decimal digits with q > 0",
+                lineno,
+            )
         if key == "delta":
             delta = val
         elif key.startswith("p_") and key[2:] in PRODUCT_TYPES:
@@ -404,3 +409,17 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
     if problems:
         raise ValidationError("invalid layout table: " + "; ".join(problems))
     return ExpectationTable(name=name, delta=delta, gamma=gamma)
+
+
+def _read_rational(value: str) -> Fraction | None:
+    """A layout-table value, an optional ``-``, then ASCII decimal digits,
+    then optionally ``/`` and the ASCII decimal digits of a nonzero
+    denominator, each run read by :func:`crossvar.graph.read_number`; or
+    ``None`` for any other text, such as ``+1``, ``1_0``, ``0.5``, ``1e-1``
+    or non-ASCII digits, which :class:`fractions.Fraction` would take."""
+    digits = value.removeprefix("-")
+    num, slash, den = digits.partition("/")
+    p, q = read_number(num), read_number(den) if slash else 1
+    if p is None or not q:
+        return None
+    return Fraction(p if digits == value else -p, q)

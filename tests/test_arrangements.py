@@ -1,12 +1,16 @@
 """Crossing counts of concrete arrangements, enumeration, sampling, bounds."""
 
+import itertools
 import math
 import os
 import random
 import re
+import signal
 import sys
 import threading
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -611,11 +615,11 @@ _GNM64 = Graph(64, random.Random(0).sample(list(combinations(range(64), 2)), 128
 
 
 class TestWorkers:
-    """Chunks are counted on one worker per CPU, while the rows are drawn on
-    the calling thread in chunk order, so no result depends on the CPU count."""
+    """Chunks are counted on one worker per CPU, and the workers draw their
+    chunks in turn, in chunk order, so no result depends on the CPU count."""
 
     @pytest.mark.parametrize("g,samples,cap", [
-        # 301 one-row chunks; 38 chunks of 8 rows, the last of 5; 11 chunks
+        # 301 one-row chunks; 28 chunks of 11 rows, the last of 4; 11 chunks
         # of 728 rows, the last of 720
         (_SMALL_ER, 301, 1),
         (_SMALL_ER, 301, 5000),
@@ -715,6 +719,133 @@ class TestWorkers:
         with _on_cpus(2), pytest.raises(KeyError, match="chunk four"):
             arrangements._count_rows(_GNM64, 8000, fill)
         assert len(chunks) == 4
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_fill_takes_each_chunk_once_in_order_on_one_thread_at_a_time(self, cpus):
+        # 28 chunks of 11 rows, the last of 4; chunk k must get rows 11k on
+        # of the table, so a chunk filled out of turn counts the wrong rows
+        g, total = _SMALL_ER, 301
+        pos = np.random.default_rng(5).permuted(
+            np.tile(np.arange(g.n, dtype=np.int64), (total, 1)), axis=1
+        )
+        expected = [count_crossings_brute(g, np.argsort(row).tolist()) for row in pos]
+        inside = threading.Lock()
+        sizes = []
+
+        def fill(rows):
+            if not inside.acquire(blocking=False):
+                raise AssertionError("fill entered by two threads at once")
+            try:
+                start = sum(sizes)
+                sizes.append(len(rows))
+                time.sleep(1e-4)  # a second fill would enter here
+                rows[...] = pos[start:start + len(rows)]
+            finally:
+                inside.release()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(arrangements, "_SWEEP_BYTES", 5000), _on_cpus(cpus):
+                got = arrangements._count_rows(g, total, fill)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [11] * 27 + [4]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    @pytest.mark.parametrize("where", ["fill", "count"])
+    def test_an_interrupt_or_out_of_memory_is_raised_as_its_class(self, cpus, error, where):
+        # the third fill, or the third count, of 11 chunks; counts run at
+        # once, so they are numbered by one atomic counter
+        fills = []
+        counts = itertools.count(1)
+        counter = arrangements._crossing_counter
+
+        def fill(rows):
+            fills.append(len(rows))
+            if where == "fill" and len(fills) == 3:
+                raise error("third fill")
+            rows[...] = np.arange(_GNM64.n)
+
+        def failing_counter(g, rows):
+            count = counter(g, rows)
+
+            def fail(pos, out):
+                if where == "count" and next(counts) == 3:
+                    raise error("third count")
+                count(pos, out)
+
+            return fail
+
+        before = threading.active_count()
+        with mock.patch.object(arrangements, "_crossing_counter", failing_counter), \
+                _on_cpus(cpus), pytest.raises(error, match=f"third {where}"):
+            arrangements._count_rows(_GNM64, 8000, fill)
+        assert threading.active_count() == before
+        if where == "fill":
+            # no turn follows the fill that raised
+            assert len(fills) == 3
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_no_turn_follows_a_fill_that_raised(self, cpus):
+        # the turn passes on 10 ms before the error of the fill leaves the
+        # turn, so a failure marked only where the error is caught would let
+        # the next worker fill again
+        class SlowTurn:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                self.lock.acquire()
+
+            def __exit__(self, kind, value, traceback):
+                self.lock.release()
+                if kind is not None:
+                    time.sleep(0.01)
+
+        fills = []
+
+        def fill(rows):
+            fills.append(len(rows))
+            if len(fills) == 3:
+                raise KeyError("third fill")
+            rows[...] = np.arange(_GNM64.n)
+
+        slow = types.SimpleNamespace(Lock=SlowTurn, Thread=threading.Thread)
+        with mock.patch.object(arrangements, "threading", slow), _on_cpus(cpus), \
+                pytest.raises(KeyError, match="third fill"):
+            arrangements._count_rows(_GNM64, 8000, fill)
+        assert len(fills) == 3
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_interrupt_of_the_caller_stops_the_workers(self, cpus):
+        # a Ctrl-C 5 ms into a call of 11 fills of 5 ms each
+        fills = []
+
+        def fill(rows):
+            fills.append(len(rows))
+            time.sleep(0.005)
+            rows[...] = np.arange(_GNM64.n)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt("interrupted")
+
+        before = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with _on_cpus(cpus), pytest.raises(KeyboardInterrupt):
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, 0.005)
+                    arrangements._count_rows(_GNM64, 8000, fill)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert len(fills) < 11
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")

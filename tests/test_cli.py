@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -159,6 +160,14 @@ class TestVariance:
         argv = ["variance", c4_file, "--algorithm", "closed", "--layout", str(table)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_table_value_outside_the_grammar_exits_2(self, c4_file, tmp_path, capsys):
+        table = tmp_path / "underscore.table"
+        table.write_text(RLA_TABLE.replace("1/3", "1_0/30", 1))
+        assert main(["variance", c4_file, "--layout", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"error: line \d+: value '1_0/30' is not", captured.err)
 
     def test_table_of_no_layout_exits_2(self, tmp_path, capsys):
         # this table printed variance = -86/9 for a 4-cycle plus a chord

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from crossvar import brute, frequencies
 from crossvar.brute import independent_edge_pairs
 from crossvar.census import fast_census
-from crossvar.errors import OracleBudgetError, ValidationError
+from crossvar.errors import EdgeListParseError, OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
     PAIR_BUDGET,
@@ -228,6 +228,33 @@ p_24 = 1/3
         assert p["04"] == 0 and p["24"] == t.delta
         assert all(0 <= x <= t.delta for x in p.values())
         assert load_layout_table(self.RLA_TEXT).gamma == t.gamma
+
+    @pytest.mark.parametrize("value", [
+        "1_0/30", "\u0661/\u0663", "0.1111", "1e-1", "+1/9", "--1/9", "1/0", "1/",
+        "/9", "1/-9", "1 /9", "1/9/1", "-", "",
+    ])
+    def test_value_outside_the_grammar_names_its_line(self, value):
+        # Fraction takes the first five; the grammar is '-'? digits ('/' digits)?
+        text = self.RLA_TEXT.replace("p_00 = 1/9", f"p_00 = {value}")
+        line = next(i for i, raw in enumerate(text.splitlines(), 1) if raw.startswith("p_00"))
+        with pytest.raises(EdgeListParseError, match=f"^line {line}: value "):
+            load_layout_table(text)
+
+    @pytest.mark.parametrize("line,code,gamma", [
+        ("E_04 = -1/90", "04", Fraction(-1, 90)),
+        ("E_04 = -00001/0090", "04", Fraction(-1, 90)),
+        ("E_04 = -1", "04", None),
+        ("p_04 = 1/10", "04", Fraction(-1, 90)),
+        ("p_04 = -0", "04", Fraction(-1, 9)),
+    ])
+    def test_values_in_the_grammar_load(self, line, code, gamma):
+        text = self.RLA_TEXT.replace("p_04 = 0", line)
+        if gamma is None:
+            # read as -1, then refused as no layout's
+            with pytest.raises(ValidationError, match=re.escape("p_04 = -8/9 outside")):
+                load_layout_table(text)
+        else:
+            assert load_layout_table(text).gamma[code] == gamma
 
     def test_table_of_no_layout_rejected(self):
         # E = -5 puts every other product probability below zero
