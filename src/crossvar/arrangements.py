@@ -199,7 +199,7 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     GIL, and memory grows by one workspace and one row buffer per worker.
     The first error, from ``fill`` or from a count, stops every worker at
     its next turn and is raised by the call; an interrupt of the calling
-    thread stops them too.
+    thread, or a worker thread that cannot start, stops them too.
     """
     step = max(1, min(total, _chunk_rows(g)))
     out = np.empty(total, dtype=np.int64)
@@ -214,11 +214,13 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
                 if start is None:
                     return
                 rows = pos[:min(step, total - start)]
-                # marked failed until fill returns, so that no turn follows
-                # a fill that raised
-                failed.append(start)
-                fill(rows)
-                failed.pop()
+                try:
+                    fill(rows)
+                except BaseException:
+                    # marked before the turn passes on, so that no turn
+                    # follows a fill that raised
+                    failed.append(None)
+                    raise
             count(rows, out[start:start + len(rows)])
 
     def pinned(outcome, cpu, *job):
@@ -229,6 +231,8 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
         try:
             outcome.set_result(work(*job))
         except BaseException as exc:
+            # the first error stops every worker at its next turn
+            failed.append(None)
             outcome.set_exception(exc)
 
     try:
@@ -243,23 +247,27 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     if len(jobs) < 2:
         work(*jobs[0])
         return out
-    from concurrent.futures import Future, as_completed
+    from concurrent.futures import Future, wait
 
     # each worker's outcome: result() raises here what the worker raised
     outcomes = [Future() for _ in jobs]
     threads = [threading.Thread(target=pinned, args=(outcome, cpu, *job))
                for outcome, cpu, job in zip(outcomes, cpus, jobs)]
-    for thread in threads:
-        thread.start()
     try:
-        for outcome in as_completed(outcomes):
-            outcome.result()
+        for thread in threads:
+            thread.start()
+        # waits on the outcomes: in CPython 3.11 an interrupt of
+        # Thread.join can mark a thread that still runs as stopped
+        wait(outcomes)
     finally:
-        # the first error, or an interrupt of this thread, stops every
-        # worker at its next turn
+        # a thread that could not start, or an interrupt of this thread,
+        # stops every worker that started at its next turn
         failed.append(None)
         for thread in threads:
-            thread.join()
+            if thread.ident is not None:
+                thread.join()
+    for outcome in outcomes:
+        outcome.result()
     return out
 
 

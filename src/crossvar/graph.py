@@ -356,6 +356,7 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
+_COMMENT = re.compile(rb"#[^\n]*")
 _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
 # line breaks of str.splitlines beyond \n and \r, which the whole-text scans leave
 # to the line-by-line reading
@@ -446,28 +447,9 @@ def _uncommented(text: str) -> bytes | None:
     if b"#" in data:
         if _OTHER_BREAKS_BYTES.search(data):
             return None
-        data = _cut_comments(data)
+        data = _COMMENT.sub(b"", data)
     # trailing blanks change nothing, and the text then holds an 8-byte word
     return data.ljust(8)
-
-
-def _cut_comments(data: bytes) -> bytes:
-    """``data`` without its comments: each line loses its bytes from its
-    first ``#`` up to its ``\\n``, or to the end of the text."""
-    chars = np.frombuffer(data, dtype=np.uint8)
-    hashes = np.flatnonzero(chars == ord("#"))
-    breaks = np.flatnonzero(chars == ord("\n"))
-    # the break that ends the line of each '#'; the first '#' of a line is
-    # the one whose line end differs from that of the '#' before it
-    ends = np.append(breaks, len(data))[np.searchsorted(breaks, hashes)]
-    first = np.ones(len(hashes), dtype=bool)
-    np.not_equal(ends[1:], ends[:-1], out=first[1:])
-    # the text as runs that are kept and cut in turn, a kept one first
-    bounds = np.empty(2 * np.count_nonzero(first) + 2, dtype=np.int64)
-    bounds[0], bounds[-1] = 0, len(data)
-    bounds[1:-1:2], bounds[2:-1:2] = hashes[first], ends[first]
-    keep = np.repeat(np.resize([True, False], len(bounds) - 1), np.diff(bounds))
-    return chars[keep].tobytes()
 
 
 def _views(data: bytes) -> tuple[np.ndarray, np.ndarray]:

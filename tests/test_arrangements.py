@@ -788,6 +788,9 @@ class TestWorkers:
         if where == "fill":
             # no turn follows the fill that raised
             assert len(fills) == 3
+        else:
+            # the failing worker stops the others, not the end of the chunks
+            assert len(fills) < 11
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_no_turn_follows_a_fill_that_raised(self, cpus):
@@ -847,6 +850,32 @@ class TestWorkers:
             signal.signal(signal.SIGALRM, previous)
         assert len(fills) < 11
         assert threading.active_count() == before
+
+    def test_a_thread_that_cannot_start_stops_the_others(self):
+        # a thread limit refuses the second of three workers after the first
+        # has started on 11 fills of 5 ms each
+        start = threading.Thread.start
+        started = []
+
+        def limited(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        fills = []
+
+        def fill(rows):
+            fills.append(len(rows))
+            time.sleep(0.005)
+            rows[...] = np.arange(_GNM64.n)
+
+        before = threading.active_count()
+        with mock.patch.object(threading.Thread, "start", limited), _on_cpus(3), \
+                pytest.raises(RuntimeError, match="can't start new thread"):
+            arrangements._count_rows(_GNM64, 8000, fill)
+        assert threading.active_count() == before
+        assert len(fills) < 11
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
     def test_the_callers_affinity_is_left_as_it_was(self):

@@ -1,6 +1,5 @@
 """The array core of Graph, the whole-text parser and the input budget."""
 
-import re
 import time
 import tracemalloc
 import warnings
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossvar import cli, graph
-from crossvar.arrangements import parse_arrangement
 from crossvar.errors import CrossvarError, EdgeListParseError, ValidationError
 from crossvar.generators import path, random_forest, random_tree, star
 from crossvar.graph import MAX_VERTICES, Graph, degree_aggregates, parse_edge_list
@@ -353,50 +351,6 @@ def test_a_hash_anywhere_starts_a_comment(text, n, adjacency):
     assert graph._scan_whole(text) is not None
     assert _outcome(text) == ("graph", n, adjacency, [])
     assert _outcome_line_by_line(text) == ("graph", n, adjacency, [])
-
-
-def _cut_by_regex(data):
-    """The comment cut as a regular expression: ``#`` up to the next ``\\n``."""
-    return re.sub(rb"#[^\n]*", b"", data)
-
-
-# digits, blanks, every line break, directives and bytes the scans refuse
-_text_piece = st.one_of(
-    _vertex.map(str),
-    st.sampled_from([
-        " ", "\t", "\n", "\r", "\r\n", "##", "# c", "n=", "n=3", "x", "\u00e9",
-        "\x0b", "\x0c", "\x1c", "\u2028", "\x85", "123456789", "007",
-    ]),
-)
-
-
-@st.composite
-def commented_texts(draw):
-    """Pieces of text with one to three ``#`` put in anywhere."""
-    pieces = draw(st.lists(_text_piece, max_size=16))
-    for _ in range(draw(st.integers(1, 3))):
-        pieces.insert(draw(st.integers(0, len(pieces))), "#")
-    return "".join(pieces)
-
-
-def _scans(text):
-    """What the edge-list and the arrangement readers make of ``text``."""
-    ids = graph.scan_ids(text)
-    try:
-        order = parse_arrangement(text, Graph(12, [])).tobytes()
-    except CrossvarError as exc:
-        order = (type(exc), str(exc))
-    return _outcome(text), None if ids is None else ids.tobytes(), order
-
-
-@given(commented_texts() | edge_list_texts(malformed=False) | edge_list_texts(malformed=True))
-def test_comment_cut_matches_the_regular_expression(text):
-    data = text.encode()
-    if b"#" in data:
-        assert graph._cut_comments(data) == _cut_by_regex(data)
-    with mock.patch.object(graph, "_cut_comments", _cut_by_regex):
-        expected = _scans(text)
-    assert _scans(text) == expected
 
 
 class TestWholeTextScan:
