@@ -41,15 +41,16 @@ planes, allocated once for up to ``_chunk_rows(g)`` rows and written in
 place, so no chunk allocates arrays of its own; a chunk's working
 set stays near ``_SWEEP_BYTES`` = 2 MiB, so that it fits a core's L2
 cache.  A call of several chunks counts them on one worker thread per CPU
-in the process's affinity mask, each with its own workspace and row
-buffer, and the workers draw their chunks in turn: holding one lock, a
-worker fills the next chunk, in chunk order, and it counts the chunk after
-its turn, while another worker fills.  So the rows, and every result, do
-not depend on how many CPUs there are, one worker's draw overlaps the
-others' counts, and memory grows by one workspace and one row buffer per
-worker.  A call of one chunk, and a process allowed one CPU, run the same
-loop inline and start no thread.  The pair-by-pair count is kept as the
-oracle :func:`crossvar.brute.count_crossings_brute`.
+in the process's affinity mask, in a ``ThreadPoolExecutor`` made for the
+call, each with its own workspace and row buffer, and the workers draw
+their chunks in turn: holding one lock, a worker fills the next chunk, in
+chunk order, and it counts the chunk after its turn, while another worker
+fills.  So the rows, and every result, do not depend on how many CPUs
+there are, one worker's draw overlaps the others' counts, and memory grows
+by one workspace and one row buffer per worker.  A call of one chunk, and
+a process allowed one CPU, run the same loop inline and start no thread.
+The pair-by-pair count is kept as the oracle
+:func:`crossvar.brute.count_crossings_brute`.
 """
 
 from __future__ import annotations
@@ -197,20 +198,23 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     on one thread per CPU in the process's affinity mask, up to one per
     chunk, each kept to its own CPU: numpy's sorts and ufuncs release the
     GIL, and memory grows by one workspace and one row buffer per worker.
-    The first error, from ``fill`` or from a count, stops every worker at
-    its next turn and is raised by the call; an interrupt of the calling
-    thread, or a worker thread that cannot start, stops them too.
+    The threads are a ``ThreadPoolExecutor`` made for the call, whose every
+    job is one worker's loop, so the pool's futures carry a worker's error
+    to the call and its exit joins the workers.  The first error, from
+    ``fill`` or from a count, stops every worker at its next turn and is
+    raised by the call; an interrupt of the calling thread, or a worker
+    thread that cannot start, stops them too.
     """
     step = max(1, min(total, _chunk_rows(g)))
     out = np.empty(total, dtype=np.int64)
     starts = iter(range(0, total, step))
     turn = threading.Lock()
-    failed = []
+    stopped = []
 
     def work(count, pos):
         while True:
             with turn:
-                start = None if failed else next(starts, None)
+                start = None if stopped else next(starts, None)
                 if start is None:
                     return
                 rows = pos[:min(step, total - start)]
@@ -219,21 +223,21 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
                 except BaseException:
                     # marked before the turn passes on, so that no turn
                     # follows a fill that raised
-                    failed.append(None)
+                    stopped.append(None)
                     raise
             count(rows, out[start:start + len(rows)])
 
-    def pinned(outcome, cpu, *job):
+    def pinned(cpu, job):
         # a scheduler may leave every thread of a process on the CPU that
         # started it
         with suppress(AttributeError, OSError):
             os.sched_setaffinity(0, {cpu})
         try:
-            outcome.set_result(work(*job))
-        except BaseException as exc:
-            # the first error stops every worker at its next turn
-            failed.append(None)
-            outcome.set_exception(exc)
+            work(*job)
+        finally:
+            # a worker stops when the chunks run out or on an error; an
+            # error stops every other worker at its next turn
+            stopped.append(None)
 
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -247,27 +251,20 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     if len(jobs) < 2:
         work(*jobs[0])
         return out
-    from concurrent.futures import Future, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    # each worker's outcome: result() raises here what the worker raised
-    outcomes = [Future() for _ in jobs]
-    threads = [threading.Thread(target=pinned, args=(outcome, cpu, *job))
-               for outcome, cpu, job in zip(outcomes, cpus, jobs)]
-    try:
-        for thread in threads:
-            thread.start()
-        # waits on the outcomes: in CPython 3.11 an interrupt of
-        # Thread.join can mark a thread that still runs as stopped
-        wait(outcomes)
-    finally:
-        # a thread that could not start, or an interrupt of this thread,
-        # stops every worker that started at its next turn
-        failed.append(None)
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    for outcome in outcomes:
-        outcome.result()
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        try:
+            # every worker starts before any takes a turn, so that none
+            # ends its loop and is handed a second job
+            with turn:
+                ends = pool.map(pinned, cpus, jobs)
+            # raises here what a worker raised
+            list(ends)
+        finally:
+            # an interrupt of this thread, or a thread that cannot start,
+            # stops every worker at its next turn before the pool joins them
+            stopped.append(None)
     return out
 
 

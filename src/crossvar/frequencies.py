@@ -344,7 +344,9 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
 
     Lines are ``delta = p/q`` plus, for each of the nine types, either
     ``p_<code> = p/q`` (crossing-product probability) or ``E_<code> = p/q``
-    (centered expectation).  ``#`` starts a comment.  A value is an optional
+    (centered expectation), each given once: a second value for delta or
+    for a type, in either form, raises :class:`EdgeListParseError` naming
+    its line.  ``#`` starts a comment.  A value is an optional
     ``-``, ASCII decimal digits and an optional ``/`` with the digits of a
     nonzero denominator (:func:`_read_rational`); any other value raises
     :class:`EdgeListParseError` naming its line.  A table is refused
@@ -352,9 +354,8 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
     ``p_<code> = E_<code> + delta²`` in [max(0, 2·delta − 1), delta].  The
     built-in table meets both ends, with ``p_04 = 0`` and ``p_24 = delta``.
     """
-    delta: Fraction | None = None
-    p_vals: dict[str, Fraction] = {}
-    e_vals: dict[str, Fraction] = {}
+    # "delta" or a type code -> (line, key, value)
+    given: dict[str, tuple[int, str, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -369,26 +370,29 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
                 lineno,
             )
         if key == "delta":
-            delta = val
-        elif key.startswith("p_") and key[2:] in PRODUCT_TYPES:
-            p_vals[key[2:]] = val
-        elif key.startswith("E_") and key[2:] in PRODUCT_TYPES:
-            e_vals[key[2:]] = val
+            slot = key
+        elif key[:2] in ("p_", "E_") and key[2:] in PRODUCT_TYPES:
+            slot = key[2:]
         else:
             raise EdgeListParseError(f"unknown key {key!r}", lineno)
+        if slot in given:
+            first, first_key, _ = given[slot]
+            raise EdgeListParseError(
+                f"{key!r} gives again what {first_key!r} gave on line {first}", lineno
+            )
+        given[slot] = (lineno, key, val)
 
     problems = []
-    if delta is None:
+    if "delta" not in given:
         problems.append("missing delta")
-        delta = Fraction(0)
+    delta = given["delta"][2] if "delta" in given else Fraction(0)
     gamma: dict[str, Fraction] = {}
     for code in PRODUCT_TYPES:
-        if code in e_vals:
-            gamma[code] = e_vals[code]
-        elif code in p_vals:
-            gamma[code] = p_vals[code] - delta * delta
-        else:
+        if code not in given:
             problems.append(f"missing type {code}")
+            continue
+        _, key, val = given[code]
+        gamma[code] = val if key.startswith("E_") else val - delta * delta
     # probabilities: each pair crosses with probability delta, and both of
     # two pairs with p_code = gamma + delta^2, which lies within the Fréchet
     # bounds [max(0, 2·delta − 1), delta] of two events of probability delta

@@ -360,7 +360,7 @@ _COMMENT = re.compile(rb"#[^\n]*")
 _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
 # line breaks of str.splitlines beyond \n and \r, which the whole-text scans leave
 # to the line-by-line reading
-_OTHER_BREAKS_BYTES = re.compile(rb"[\x0b\x0c\x1c-\x1e]")
+_OTHER_BREAKS_BYTES = b"\x0b\x0c\x1c\x1d\x1e"
 _OTHER_BREAKS_STR = ("\x85", "\u2028", "\u2029")
 # longest token the whole-text scans decode: MAX_VERTICES - 1 has 8 digits
 _DIGITS = 8
@@ -445,7 +445,7 @@ def _uncommented(text: str) -> bytes | None:
         return None
     data = text.encode().replace(b"\r", b"\n")
     if b"#" in data:
-        if _OTHER_BREAKS_BYTES.search(data):
+        if len(data.translate(None, _OTHER_BREAKS_BYTES)) != len(data):
             return None
         data = _COMMENT.sub(b"", data)
     # trailing blanks change nothing, and the text then holds an 8-byte word

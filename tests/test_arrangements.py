@@ -275,6 +275,7 @@ _order_piece = st.one_of(
     st.sampled_from([
         "123456789", "99999999", "33554432", "#", "x", "one", "\x0b", "\x0c", "\x1c", "\u2028",
         "\u0662", "+", "_", "\u00e9", "# \u00e9\n", "# c\x0c", "#\x1c", "#\u2028", "\x85",
+        "# c\x1d0 1\n", "# c\x1e0 1\n",
     ]),
 )
 
@@ -311,6 +312,7 @@ class TestArrangementScan:
     @pytest.mark.parametrize("text", [
         "0 1 2\x0b3", "# c\x0c0 1 2 3", "0 1 # c\u20282 3", "0 1\x852 3", "0 1 2 000000003",
         "0 1 2 123456789", "0 1 2 3\r# c\r", "0\t1\r\n2 # \u00e9\r\n3", "# c\x85 0 1 2 3",
+        "# c\x1d0 1\n", "# c\x1e0 1\n",
     ])
     def test_other_breaks_long_ids_and_comments(self, text):
         g = Graph(4, [])
@@ -680,6 +682,21 @@ class TestWorkers:
             monte_carlo(_GNM64, samples, seed=0)
         assert len(started) == workers
         assert not any(t.is_alive() for t in started)
+
+    def test_every_worker_starts_before_any_takes_a_chunk(self):
+        # each start is 50 ms slow, time enough for a worker already running
+        # to count both chunks and be handed the other worker's loop
+        start = threading.Thread.start
+        started = []
+
+        def slow(thread):
+            started.append(thread)
+            start(thread)
+            time.sleep(0.05)
+
+        with mock.patch.object(threading.Thread, "start", slow), _on_cpus(2):
+            monte_carlo(_GNM64, 1000, seed=0)
+        assert len(started) == 2
 
     @pytest.mark.parametrize("fails", ["second", "last"])
     def test_a_worker_error_is_raised_by_the_call(self, fails):

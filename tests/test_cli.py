@@ -169,6 +169,14 @@ class TestVariance:
         assert captured.out == ""
         assert re.match(r"error: line \d+: value '1_0/30' is not", captured.err)
 
+    def test_table_giving_a_type_twice_exits_2(self, c4_file, tmp_path, capsys):
+        table = tmp_path / "twice.table"
+        table.write_text(RLA_TABLE + "E_13 = 1/18\n")
+        assert main(["variance", c4_file, "--layout", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"error: line \d+: 'E_13' gives again what 'p_13' gave", captured.err)
+
     def test_table_of_no_layout_exits_2(self, tmp_path, capsys):
         # this table printed variance = -86/9 for a 4-cycle plus a chord
         table = tmp_path / "bad.table"

@@ -240,6 +240,20 @@ p_24 = 1/3
         with pytest.raises(EdgeListParseError, match=f"^line {line}: value "):
             load_layout_table(text)
 
+    @pytest.mark.parametrize("old,new,message", [
+        # E_13 = 1/18 is the table's p_13 = 1/6, and loaded with p_13 dropped
+        ("p_13 = 1/6", "E_13 = 1/18\np_13 = 1/2", "'p_13' gives again what 'E_13' gave"),
+        ("p_13 = 1/6", "p_13 = 1/6\nE_13 = 1/18", "'E_13' gives again what 'p_13' gave"),
+        ("delta = 1/3", "delta = 1/3\ndelta = 1/2", "'delta' gives again what 'delta' gave"),
+    ])
+    def test_a_value_given_twice_names_the_later_line(self, old, new, message):
+        text = self.RLA_TEXT.replace(old, new)
+        later = text.splitlines().index(new.splitlines()[1]) + 1
+        with pytest.raises(EdgeListParseError, match=re.escape(
+            f"line {later}: {message} on line {later - 1}"
+        )):
+            load_layout_table(text)
+
     @pytest.mark.parametrize("line,code,gamma", [
         ("E_04 = -1/90", "04", Fraction(-1, 90)),
         ("E_04 = -00001/0090", "04", Fraction(-1, 90)),

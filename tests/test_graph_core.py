@@ -380,6 +380,7 @@ class TestWholeTextScan:
 
     @pytest.mark.parametrize("text", [
         "0 1\x0b2 3\n", "# c\x0c0 1\n", "0 1\x852 3\n", "# c\u20280 1\n", "0 1\r2 3",
+        "# c\x1d0 1\n", "# c\x1e0 1\n",
     ])
     def test_other_line_breaks(self, text):
         assert _outcome(text) == _outcome_line_by_line(text)
