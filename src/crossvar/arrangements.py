@@ -40,15 +40,9 @@ Ends, right ends and merge keys are int32, as every key is below
 planes, allocated once for up to ``_chunk_rows(g)`` rows and written in
 place, so no chunk allocates arrays of its own; a chunk's working
 set stays near ``_SWEEP_BYTES`` = 2 MiB, so that it fits a core's L2
-cache.  A call of several chunks counts them on one worker thread per CPU
-in the process's affinity mask, in a ``ThreadPoolExecutor`` made for the
-call, each with its own workspace and row buffer, and the workers draw
-their chunks in turn: holding one lock, a worker fills the next chunk, in
-chunk order, and it counts the chunk after its turn, while another worker
-fills.  So the rows, and every result, do not depend on how many CPUs
-there are, one worker's draw overlaps the others' counts, and memory grows
-by one workspace and one row buffer per worker.  A call of one chunk, and
-a process allowed one CPU, run the same loop inline and start no thread.
+cache.  ``_count_rows`` counts a call's chunks on one worker thread per
+CPU, which fill their chunks in turn, so that no result depends on the
+CPU count; its docstring describes the driver in full.
 The pair-by-pair count is kept as the oracle
 :func:`crossvar.brute.count_crossings_brute`.
 """
@@ -188,22 +182,26 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     ``fill(rows)`` writes the next ``len(rows)`` position rows into
     ``rows``: ``rows[r, v]`` is the position of vertex ``v`` in arrangement
     ``r``.  Every worker runs one loop, with its own workspace and int64
-    row buffer: holding one turn lock, it takes the next chunk and fills it,
-    so ``fill`` runs on one thread at a time, once per chunk and in chunk
-    order, and the rows, and every result, do not depend on who counts
-    them; it counts the chunk after its turn, so one worker's fill overlaps
-    the others' counts.  A call of one chunk, or a process allowed one CPU,
-    runs the loop inline and starts no thread, so memory is O(rows·(n + m))
-    for small batches and bounded for large ones.  Otherwise the loop runs
-    on one thread per CPU in the process's affinity mask, up to one per
-    chunk, each kept to its own CPU: numpy's sorts and ufuncs release the
-    GIL, and memory grows by one workspace and one row buffer per worker.
-    The threads are a ``ThreadPoolExecutor`` made for the call, whose every
-    job is one worker's loop, so the pool's futures carry a worker's error
-    to the call and its exit joins the workers.  The first error, from
-    ``fill`` or from a count, stops every worker at its next turn and is
-    raised by the call; an interrupt of the calling thread, or a worker
-    thread that cannot start, stops them too.
+    row buffer, both allocated on the calling thread, so that no worker's
+    allocator arena holds memory of its own: holding one turn lock, it
+    takes the next chunk and fills it, so ``fill`` runs on one thread at a
+    time, once per chunk and in chunk order, and the rows, and every
+    result, are bit-identical whatever the CPU count; it counts the chunk
+    after its turn, so one worker's fill overlaps the others' counts.  A
+    call of one chunk, or a process allowed one CPU, runs the loop inline
+    and starts no thread, so memory is O(rows·(n + m)) for small batches
+    and bounded for large ones.  Otherwise the loop runs on one thread per
+    CPU in the process's affinity mask (``os.sched_getaffinity``, or
+    ``os.cpu_count()`` where there are no masks), up to one per chunk,
+    each kept to its own CPU: numpy's sorts and ufuncs release the GIL, and
+    memory grows by one workspace and one row buffer per worker.  There is
+    no setting for the thread count.  The threads are a
+    ``ThreadPoolExecutor`` made for the call, whose every job is one
+    worker's loop, so the pool's futures carry a worker's error to the call
+    and its exit joins the workers.  The first error, from ``fill`` or from
+    a count, stops every worker at its next turn and is raised by the call;
+    an interrupt of the calling thread, or a worker thread that cannot
+    start, stops them too.
     """
     step = max(1, min(total, _chunk_rows(g)))
     out = np.empty(total, dtype=np.int64)
@@ -436,19 +434,15 @@ class MonteCarloResult:
 def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     """Sample crossing counts from uniformly random arrangements.
 
-    Deterministic for a fixed seed.  Arrangements are drawn one chunk of
-    ``_chunk_rows(g)`` rows at a time into a reused row buffer and counted
-    by the module's merge count, vectorised across the rows: O(m log² m)
-    time per row.  The chunks are drawn and counted on one worker per CPU
-    the process may use, each in its own workspace and row buffer, so memory
-    is near ``_SWEEP_BYTES`` per worker plus the samples.  The workers draw
-    their chunks in turn, in chunk order, each row shuffled from the one
-    generator, so neither the chunk size nor the CPU count changes the draws
-    or the result; a worker counts its chunk while the next one draws.  The
-    rows are int64, which numpy's shuffle swaps fastest; a shuffle draws the
-    same permutation for any item size, and the count reads the rows' low
-    int32 words.  More than :data:`MAX_SAMPLES` samples are refused before
-    anything is allocated.
+    Deterministic for a fixed seed.  Each row is shuffled from the one
+    generator as int64, which numpy's shuffle swaps fastest and which draws
+    the same permutation for any item size, and counted by the module's
+    merge count, which reads the rows' low int32 words, in O(m log² m)
+    time.  The rows are drawn and counted in chunks by ``_count_rows``,
+    whose docstring describes the threaded driver; neither the chunk size
+    nor the CPU count changes the draws or the result, and memory is near
+    ``_SWEEP_BYTES`` per worker plus the samples.  More than
+    :data:`MAX_SAMPLES` samples are refused before anything is allocated.
     """
     try:
         samples = operator.index(samples)

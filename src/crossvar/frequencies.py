@@ -84,16 +84,12 @@ def classify_pair(p1: EdgePair, p2: EdgePair) -> str:
 class FrequencyVector:
     """Counts of ordered Q x Q pairs per product type.
 
-    ``counts`` always holds the seven contributing types.  The two types
-    with zero expectation are carried jointly in ``null_total``; their
-    individual values are present only when the producing route could
-    tell them apart.
+    ``counts`` holds the seven contributing types.  The two types with
+    zero expectation are carried jointly in ``null_total``.
     """
 
     counts: dict[str, int]
     null_total: int
-    f00: int | None = None
-    f01: int | None = None
 
     def total(self) -> int:
         return sum(self.counts.values()) + self.null_total
@@ -192,12 +188,7 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
     if sum(freq.values()) != q * q:
         raise InternalInconsistencyError("classified pair count does not equal q^2")
     counts = {code: freq[code] for code in CONTRIBUTING_TYPES}
-    return FrequencyVector(
-        counts=counts,
-        null_total=freq["00"] + freq["01"],
-        f00=freq["00"],
-        f01=freq["01"],
-    )
+    return FrequencyVector(counts=counts, null_total=freq["00"] + freq["01"])
 
 
 def frequencies_from_census(c, m: int) -> FrequencyVector:
@@ -351,8 +342,10 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
     nonzero denominator (:func:`_read_rational`); any other value raises
     :class:`EdgeListParseError` naming its line.  A table is refused
     unless it could be a layout's: delta in [0, 1], and every
-    ``p_<code> = E_<code> + delta²`` in [max(0, 2·delta − 1), delta].  The
-    built-in table meets both ends, with ``p_04 = 0`` and ``p_24 = delta``.
+    ``p_<code> = E_<code> + delta²`` in its interval: [delta, delta] for
+    24, [delta², delta²] for 00 and 01, and [max(0, 2·delta − 1), delta]
+    for the rest.  The built-in table reaches the lowest of these ends
+    with ``p_04 = 0``.
     """
     # "delta" or a type code -> (line, key, value)
     given: dict[str, tuple[int, str, Fraction]] = {}
@@ -394,22 +387,21 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
         _, key, val = given[code]
         gamma[code] = val if key.startswith("E_") else val - delta * delta
     # probabilities: each pair crosses with probability delta, and both of
-    # two pairs with p_code = gamma + delta^2, which lies within the Fréchet
-    # bounds [max(0, 2·delta − 1), delta] of two events of probability delta
+    # two pairs with p_code = gamma + delta^2.  An identical pair (24) gives
+    # delta, and fully disjoint / one-shared-vertex pairs (00, 01) are
+    # independent and give delta^2; every other type lies within the
+    # Fréchet bounds [max(0, 2·delta − 1), delta] of two events of
+    # probability delta
     if not 0 <= delta <= 1:
         problems.append(f"delta = {delta} outside [0, 1]")
     elif "missing delta" not in problems:
-        low = max(Fraction(0), 2 * delta - 1)
+        square = delta * delta
+        exact = {"24": (delta, delta), "00": (square, square), "01": (square, square)}
+        frechet = (max(Fraction(0), 2 * delta - 1), delta)
         for code, g in gamma.items():
-            if not low <= g + delta * delta <= delta:
-                problems.append(f"p_{code} = {g + delta * delta} outside [{low}, {delta}]")
-    # layout-class consistency: an identical pair has product probability
-    # delta, and fully disjoint / one-shared-vertex pairs are independent
-    if "24" in gamma and gamma["24"] != delta - delta * delta:
-        problems.append("gamma[24] != delta - delta^2")
-    for code in ("00", "01"):
-        if code in gamma and gamma[code] != 0:
-            problems.append(f"gamma[{code}] != 0 (p_{code} must equal delta^2)")
+            low, high = exact.get(code, frechet)
+            if not low <= g + square <= high:
+                problems.append(f"p_{code} = {g + square} outside [{low}, {high}]")
     if problems:
         raise ValidationError("invalid layout table: " + "; ".join(problems))
     return ExpectationTable(name=name, delta=delta, gamma=gamma)

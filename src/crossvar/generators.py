@@ -99,8 +99,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise ValidationError("random_tree needs n >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return _prufer_decode(seq, n)
@@ -129,45 +127,23 @@ def random_forest(n: int, seed: int = 0) -> Graph:
 
 ALL_TREES_LIMIT = 10
 
-#: number of unlabeled free trees on 1..10 vertices
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
-
 
 def _canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant code of a tree, rooted at its center(s)."""
-    if g.n == 1:
-        return ((),)
-    # peel leaves to find the one or two center vertices
-    degree = list(g.degrees)
-    layer = [v for v in range(g.n) if degree[v] <= 1]
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for w in g.adjacency[v]:
-                if degree[w] > 1:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-                elif degree[w] == 1:
-                    degree[w] = 0
-        layer = nxt
-    centers = layer
+    """Isomorphism-invariant code of a tree: the least of its rooted codes."""
 
     def encode(v: int, parent: int) -> tuple:
         return tuple(sorted(encode(w, v) for w in g.adjacency[v] if w != parent))
 
-    return tuple(sorted(encode(c, -1) for c in centers)) + (len(centers),)
+    return min(encode(root, -1) for root in range(g.n))
 
 
 def all_trees(n: int) -> Iterator[Graph]:
     """Every unlabeled free tree on n vertices, each exactly once.
 
     Trees on k+1 vertices are produced by attaching one new leaf to each
-    vertex of each tree on k vertices; duplicates are removed with a
-    center-rooted canonical code.
+    vertex of each tree on k vertices; duplicates are removed by keying each
+    tree with the least of its rooted codes, and the first tree of each code
+    is kept.
     """
     if not 1 <= n <= ALL_TREES_LIMIT:
         raise ValidationError(f"all_trees supports 1 <= n <= {ALL_TREES_LIMIT}")
@@ -178,8 +154,6 @@ def all_trees(n: int) -> Iterator[Graph]:
             base = list(t.edges())
             for v in range(t.n):
                 g2 = Graph(size, base + [(v, size - 1)])
-                key = _canonical_form(g2)
-                if key not in seen:
-                    seen[key] = g2
+                seen.setdefault(_canonical_form(g2), g2)
         current = list(seen.values())
     yield from current

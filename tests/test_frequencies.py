@@ -13,6 +13,7 @@ from crossvar.census import fast_census
 from crossvar.errors import EdgeListParseError, OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
+    ExpectationTable,
     PAIR_BUDGET,
     PATTERN_LIMIT,
     PRODUCT_TYPES,
@@ -75,7 +76,7 @@ def test_vectorized_classification_matches_reference(seed):
         got = frequencies_brute(h)
         for code in CONTRIBUTING_TYPES:
             assert got.counts[code] == ref[code]
-        assert got.f00 == ref["00"] and got.f01 == ref["01"]
+        assert got.null_total == ref["00"] + ref["01"]
 
 
 @pytest.mark.parametrize("g", [
@@ -186,14 +187,35 @@ p_24 = 1/3
         with pytest.raises(ValidationError, match="03"):
             load_layout_table(text)
 
-    def test_inconsistent_diagonal_rejected(self):
-        text = self.RLA_TEXT.replace("p_24 = 1/3", "p_24 = 1/2")
-        with pytest.raises(ValidationError, match="24"):
+    @pytest.mark.parametrize("old,new,message", [
+        ("p_24 = 1/3", "p_24 = 1/2", "p_24 = 1/2 outside [1/3, 1/3]"),
+        ("p_24 = 1/3", "p_24 = 1/4", "p_24 = 1/4 outside [1/3, 1/3]"),
+        ("p_24 = 1/3", "E_24 = 0", "p_24 = 1/9 outside [1/3, 1/3]"),
+        ("p_00 = 1/9", "p_00 = 1/8", "p_00 = 1/8 outside [1/9, 1/9]"),
+        ("p_00 = 1/9", "p_00 = 1/10", "p_00 = 1/10 outside [1/9, 1/9]"),
+        ("p_01 = 1/9", "E_01 = 1/90", "p_01 = 11/90 outside [1/9, 1/9]"),
+    ])
+    def test_diagonal_and_null_types_have_one_value(self, old, new, message):
+        # an identical pair crosses twice with probability delta, and pairs
+        # sharing at most one vertex are independent; all but the first of
+        # these lie within the Fréchet bounds [0, 1/3]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_layout_table(self.RLA_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("p_00 = 1/9", "p_00 1/9", "expected 'key = value', got 'p_00 1/9'"),
+        ("p_00 = 1/9", "p_05 = 1/9", "unknown key 'p_05'"),
+        ("p_00 = 1/9", "q_00 = 1/9", "unknown key 'q_00'"),
+    ])
+    def test_malformed_line_names_its_line(self, old, new, message):
+        text = self.RLA_TEXT.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        with pytest.raises(EdgeListParseError, match=re.escape(f"line {line}: {message}")):
             load_layout_table(text)
 
-    def test_nonzero_null_type_rejected(self):
-        text = self.RLA_TEXT.replace("p_00 = 1/9", "p_00 = 1/8")
-        with pytest.raises(ValidationError, match="00"):
+    def test_missing_delta_rejected(self):
+        text = self.RLA_TEXT.replace("delta = 1/3\n", "")
+        with pytest.raises(ValidationError, match="^invalid layout table: missing delta$"):
             load_layout_table(text)
 
     @pytest.mark.parametrize("delta", ["-1/3", "4/3"])
@@ -277,6 +299,13 @@ p_24 = 1/3
         )
         with pytest.raises(ValidationError, match=re.escape("p_04 = -44/9 outside [0, 1/3]")):
             load_layout_table(text)
+
+
+def test_expectation_table_needs_every_type():
+    gamma = dict(builtin_rla_table().gamma)
+    del gamma["03"]
+    with pytest.raises(ValidationError, match=re.escape("missing type(s): ['03']")):
+        ExpectationTable(name="custom", delta=Fraction(1, 3), gamma=gamma)
 
 
 def test_complete_graph_has_no_six_vertex_types():
