@@ -14,9 +14,11 @@ first two are oracles, and each checks its budget, a constant, before any
 work: :func:`frequencies_brute` refuses more than :data:`PAIR_BUDGET` =
 2^33 ordered pairs, with q^2 taken from the degrees, and pattern counting
 refuses more than :data:`PATTERN_LIMIT` = 25 vertices.  The pair
-classification reads one bitmask of vertices per edge: it counts shared
-vertices by popcount and tells the two subtypes of the (0, 2) pairs apart
-by comparing masks.
+classification keeps one int8 membership row per vertex that an element
+touches, over the elements: it counts shared vertices by summing rows,
+and tells the two subtypes of the (0, 2) pairs apart by reading the rows
+at each edge's ends.  Its memory grows with q times the touched vertices,
+not with n.
 """
 
 from __future__ import annotations
@@ -106,13 +108,14 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
 
     The classification itself is pure definition chasing, evaluated with
     vectorized comparisons so the oracle stays usable on mid-size graphs.
-    Each edge of an element gets a bitmask of its two ends, one bit per
-    vertex in ``ceil(n/64)`` words, and the element's mask is the OR of its
-    two.  Shared vertices are the popcount of two element masks, shared
-    edges are equal edge keys, and a pair sharing two vertices and no edge
-    is of type 021 exactly when the shared vertices make up one of the four
-    edges.  A graph with more than :data:`PAIR_BUDGET` ordered pairs is
-    refused from its degrees, before any pair is listed.
+    The vertices the elements touch are numbered, and each gets one int8
+    row that marks the elements it is an end of.  Shared vertices are the
+    sum of the rows of one element's four ends, read at the other element.
+    Shared edges are equal edge keys, read only where two or more vertices
+    are shared, and a pair sharing two vertices and no edge is of type 021
+    exactly when an edge of either element has both ends among the other's.
+    A graph with more than :data:`PAIR_BUDGET` ordered pairs is refused
+    from its degrees, before any pair is listed.
     """
     q2 = compute_q(g) ** 2
     if q2 > PAIR_BUDGET:
@@ -122,68 +125,59 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
         )
     pairs = independent_edge_pairs(g)
     q = len(pairs)
-    freq = {code: 0 for code in PRODUCT_TYPES}
-    freq["24"] = q  # the diagonal
+    freq = {code: 0 for code in PRODUCT_TYPES} | {"24": q}  # the diagonal
     if q > 1:
-        n = g.n
-        n_words = (n + 63) // 64
-        ends = np.array(pairs, dtype=np.int64).reshape(q, 4)  # s, t, u, v
-        ekeys = ends[:, 0::2] * n + ends[:, 1::2]
-        # edge_masks[i, k] marks the ends of edge k of element i; one end
-        # at a time, so that two ends in one word cannot overwrite each other
-        edge_masks = np.zeros((q, 2, n_words), dtype=np.uint64)
-        element, edge = np.arange(q)[:, None], np.arange(2)
-        for x in (ends[:, 0::2], ends[:, 1::2]):
-            edge_masks[element, edge, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)
-        masks = edge_masks[:, 0] | edge_masks[:, 1]
+        # ends[k, j] is end k (s, t, u, v) of element j, as the number of
+        # that vertex among the touched ones
+        touched, ends = np.unique(np.array(pairs, dtype=np.int64).ravel(), return_inverse=True)
+        ends = ends.reshape(q, 4).T
+        ekeys = ends[0::2] * len(touched) + ends[1::2]
+        # member[x, j] = 1 when touched vertex x is an end of element j; it
+        # is at x * q + j of the flat rows
+        member = np.zeros((len(touched), q), dtype=np.int8)
+        member[ends, np.arange(q)] = 1
+        flat, offsets = member.ravel(), ends * q
+
+        def inside(x, y):
+            # whether an edge of element x has both ends among element y's
+            s, t, u, v = (flat[o[x] + y] for o in offsets)
+            return (s & t) | (u & v)
 
         chunk = max(1, 16_000_000 // q)
         for i0 in range(0, q - 1, chunk):
             i1 = min(i0 + chunk, q - 1)
-            rows = np.arange(i0, i1)
             cols0 = i0 + 1  # only columns j > i0 can satisfy j > i
-            ek_r = ekeys[rows]
-            ek_c = ekeys[cols0:]
-            # shared vertices by popcount of intersecting endpoint bitmasks
-            phi = np.zeros((len(rows), q - cols0), dtype=np.int8)
-            for w in range(n_words):
-                phi += np.bitwise_count(
-                    masks[rows, w][:, None] & masks[cols0:, w][None, :]
-                ).astype(np.int8)
-            # shared edges: each row edge matches at most one column edge
-            e1 = (ek_r[:, 0][:, None] == ek_c[None, :, 0]) | (
-                ek_r[:, 0][:, None] == ek_c[None, :, 1]
-            )
-            e2 = (ek_r[:, 1][:, None] == ek_c[None, :, 0]) | (
-                ek_r[:, 1][:, None] == ek_c[None, :, 1]
-            )
-            tau = e1.astype(np.int8) + e2.astype(np.int8)
-            # the cells on or below the diagonal are coded 15, a bin no pair
-            # reaches, so the whole matrix is counted without compressing it
-            upper = rows[:, None] < np.arange(cols0, q)[None, :]
-            code = np.where(upper, tau * 5 + phi, 15)
+            # shared vertices: the member rows of the row element's four
+            # ends, summed; the cells j <= i are marked -1
+            phi = member[ends[0, i0:i1], cols0:]
+            for x in ends[1:, i0:i1]:
+                phi += member[x, cols0:]
+            phi[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = -1
+            freq["00"] += 2 * int(np.count_nonzero(phi == 0))
+            freq["01"] += 2 * int(np.count_nonzero(phi == 1))
 
-            # one count per code read, on the int8 codes as they are; a pair
-            # of any other code is missed by the total check below.  tau == 1,
-            # phi == 4 is impossible for distinct pairs
-            if np.count_nonzero(code == 5 + 4):
+            # a shared edge brings two shared vertices, so shared edges are
+            # read only where phi >= 2; each edge of the row element matches
+            # at most one edge of the column element
+            cells = np.flatnonzero(phi >= 2)
+            shared = phi.ravel()[cells]
+            # the row and the column element of each cell
+            r, c = np.add(np.divmod(cells, q - cols0), [[i0], [cols0]])
+            (a_r, b_r), (a_c, b_c) = ekeys[:, r], ekeys[:, c]
+            tau = ((a_r == a_c) | (a_r == b_c)).astype(np.int8) + ((b_r == a_c) | (b_r == b_c))
+            if np.any((tau == 1) & (shared == 4)):
                 raise InternalInconsistencyError("impossible (tau, phi) = (1, 4) seen")
-            if np.count_nonzero(code == 10 + 4):
+            if np.any(tau == 2):
                 raise InternalInconsistencyError("distinct Q elements sharing both edges")
-            for name, k in (("00", 0), ("01", 1), ("03", 3), ("04", 4),
-                            ("12", 5 + 2), ("13", 5 + 3)):
-                freq[name] += 2 * int(np.count_nonzero(code == k))
+            for name, t, p in (("03", 0, 3), ("04", 0, 4), ("12", 1, 2), ("13", 1, 3)):
+                freq[name] += 2 * int(np.count_nonzero((tau == t) & (shared == p)))
 
-            # the (0, 2) cells: subtype 1 when the two shared vertices are
-            # one edge of either element, subtype 2 otherwise
-            r_idx, c_idx = np.nonzero(code == 2)
-            r_idx += i0
-            c_idx += cols0
-            shared = masks[r_idx] & masks[c_idx]
-            four_edges = np.concatenate((edge_masks[r_idx], edge_masks[c_idx]), axis=1)
-            n1 = int((shared[:, None, :] == four_edges).all(axis=2).any(axis=1).sum())
+            # the (0, 2) cells: subtype 1 when an edge of either element has
+            # both ends among the other's, subtype 2 otherwise
+            two = (tau == 0) & (shared == 2)
+            n1 = int(np.count_nonzero(inside(r[two], c[two]) | inside(c[two], r[two])))
             freq["021"] += 2 * n1
-            freq["022"] += 2 * (r_idx.size - n1)
+            freq["022"] += 2 * (int(np.count_nonzero(two)) - n1)
 
     if sum(freq.values()) != q * q:
         raise InternalInconsistencyError("classified pair count does not equal q^2")

@@ -196,11 +196,16 @@ def vertex_ids(values, what: str) -> np.ndarray:
 
     An array must have an integer dtype, and any other value must be an
     integer by :func:`operator.index`, so that no float is truncated and no
-    string parsed into an id.  ``what`` names the values in the error.
+    string parsed into an id.  An id that int64 cannot hold raises
+    ``vertex id out of range``, from an unsigned array as from Python ints.
+    ``what`` names the values in the error.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iu":
             raise ValidationError(f"{what} must be integer vertex ids, not {values.dtype}")
+        # an unsigned id past int64 would wrap to a negative one
+        if values.dtype.kind == "u" and values.size and int(values.max()) >> 63:
+            raise ValidationError("vertex id out of range")
         return values.astype(np.int64, copy=False).ravel()
     try:
         return np.fromiter(map(operator.index, values), dtype=np.int64)

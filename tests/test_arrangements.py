@@ -122,6 +122,13 @@ class TestCountCrossings:
         with pytest.raises(ValidationError):
             count_crossings(g, (0, 1))
 
+    def test_refuses_an_unsigned_id_past_int64(self):
+        # cast to int64, 2^63 would wrap to a negative id the order does not hold
+        order = np.array([0, 1, 2**63], dtype=np.uint64)
+        with pytest.raises(ValidationError, match="^vertex id out of range$"):
+            count_crossings(path(3), order)
+        assert count_crossings(path(3), np.array([0, 2, 1], dtype=np.uint64)) == 0
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 1000), st.randoms(use_true_random=False))
     def test_reversal_invariance(self, seed, rnd):
@@ -682,6 +689,30 @@ class TestWorkers:
             monte_carlo(_GNM64, samples, seed=0)
         assert len(started) == workers
         assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("count,workers", [(None, 0), (1, 0), (3, 3)])
+    def test_without_affinity_masks_the_cpu_count_sets_the_workers(
+        self, monkeypatch, count, workers
+    ):
+        with _on_cpus(1):
+            expected = monte_carlo(_GNM64, 8000, seed=3)
+        # a platform with no affinity masks; no count, or one, is one CPU,
+        # counted on the calling thread
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        cpu_count = mock.Mock(return_value=count)
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        started = []
+        thread = threading.Thread
+
+        def spy(*args, **kwargs):
+            started.append(thread(*args, **kwargs))
+            return started[-1]
+
+        with mock.patch.object(threading, "Thread", side_effect=spy):
+            assert monte_carlo(_GNM64, 8000, seed=3) == expected
+        cpu_count.assert_called_once_with()
+        assert len(started) == workers
 
     def test_every_worker_starts_before_any_takes_a_chunk(self):
         # each start is 50 ms slow, time enough for a worker already running

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossvar import brute, census
 from crossvar.census import fast_census
-from crossvar.errors import ValidationError
+from crossvar.errors import OracleBudgetError, ValidationError
 from crossvar.generators import complete, cycle, erdos_renyi, path, star
 from crossvar.graph import Graph
 
@@ -184,6 +184,17 @@ class TestCountsAgainstBrute:
     def test_paths_need_two_vertices(self):
         with pytest.raises(ValidationError, match="at least 2"):
             brute.count_simple_paths(path(3), 1)
+
+    def test_brute_census_refuses_13_vertices_before_enumerating(self):
+        with mock.patch.object(
+            brute, "independent_edge_pairs", wraps=brute.independent_edge_pairs
+        ) as listed, mock.patch.object(brute, "simple_walks", wraps=brute.simple_walks) as walked:
+            with pytest.raises(OracleBudgetError, match=r"n <= 12 \(got n=13\)"):
+                brute.brute_census(path(13))
+            assert listed.call_count == walked.call_count == 0
+            # at the limit it runs
+            assert brute.brute_census(path(12)) == fast_census(path(12))
+            assert listed.call_count == 1
 
 
 @settings(max_examples=60, deadline=None)

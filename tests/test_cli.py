@@ -13,11 +13,16 @@ from unittest import mock
 import pytest
 
 import crossvar
-from crossvar import variance
+from crossvar import selftest, variance
 from crossvar.census import fast_census, table_census
 from crossvar.cli import main
-from crossvar.frequencies import PAIR_BUDGET, builtin_rla_table
-from crossvar.generators import complete, erdos_renyi, random_tree
+from crossvar.frequencies import (
+    PAIR_BUDGET,
+    FrequencyVector,
+    builtin_rla_table,
+    frequencies_brute,
+)
+from crossvar.generators import complete, cycle, erdos_renyi, path, random_tree
 from crossvar.graph import compute_q
 from crossvar.variance import compute_variance
 
@@ -287,6 +292,53 @@ class TestSelftest:
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    TWO_GRAPHS = (("path-5", path(5)), ("cycle-6", cycle(6)))
+
+    def _run_off_by_one(self, monkeypatch, capsys, off_by_one):
+        """The selftest on two graphs, its naive route's frequencies passed
+        through ``off_by_one``: the report, after checking that the CLI
+        prints its failures and exits 1."""
+        monkeypatch.setattr(selftest, "corpus", lambda full=True: iter(self.TWO_GRAPHS))
+        monkeypatch.setattr(
+            selftest, "frequencies_brute", lambda g: off_by_one(frequencies_brute(g))
+        )
+        report = selftest.run_selftest()
+        assert report.graphs_checked == 2 and not report.ok
+        assert main(["selftest", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "ok = False" in out
+        assert all(failure in out for failure in report.failures)
+        return report
+
+    def test_a_route_off_by_one_is_named(self, monkeypatch, capsys):
+        # one more pair of type 13, one fewer of the null types
+        report = self._run_off_by_one(monkeypatch, capsys, lambda f: FrequencyVector(
+            {**f.counts, "13": f.counts["13"] + 1}, f.null_total - 1
+        ))
+        for name, g in self.TWO_GRAPHS:
+            f13 = frequencies_brute(g).counts["13"]
+            mine = [failure for failure in report.failures if failure.startswith(f"{name}: ")]
+            assert mine[:2] == [
+                f"{name}: f_13 brute={f13 + 1} census={f13}",
+                f"{name}: f_13 brute={f13 + 1} patterns={f13}",
+            ]
+            # every other variance route disagrees with the naive one
+            named = [re.fullmatch(rf"{name}: variance (\w+)=\S+ != naive=\S+", failure)
+                     for failure in mine[2:]]
+            assert [match and match[1] for match in named] == (
+                ["patterns", "general", "reuse", "closed"] + ["forest"] * g.is_forest()
+            )
+
+    def test_a_pair_total_off_by_one_is_named(self, monkeypatch, capsys):
+        # the null types carry no weight, so only the q^2 check can see this
+        report = self._run_off_by_one(monkeypatch, capsys, lambda f: FrequencyVector(
+            f.counts, f.null_total + 1
+        ))
+        assert report.failures == [
+            f"{name}: sum of frequencies {compute_q(g) ** 2 + 1} != q^2 {compute_q(g) ** 2}"
+            for name, g in self.TWO_GRAPHS
+        ]
 
     def test_seed_flag_is_gone(self):
         # the corpus is fixed: no seed, size cap or ensemble size to set

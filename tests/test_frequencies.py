@@ -1,6 +1,9 @@
 """Product-type classification and the three frequency routes."""
 
+import json
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from crossvar import brute, frequencies
 from crossvar.brute import independent_edge_pairs
 from crossvar.census import fast_census
+from crossvar.cli import main
 from crossvar.errors import EdgeListParseError, OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
@@ -68,8 +72,8 @@ def classify_all_pairs_reference(g):
 def test_vectorized_classification_matches_reference(seed):
     g = erdos_renyi(8, 0.45, seed=seed)
     ref = classify_all_pairs_reference(g)
-    # the same graph on ids spread over 0..129, so each mask takes three
-    # words, with each bit position used in more than one word
+    # the same graph on ids spread over 0..129, most of them untouched:
+    # numbered among the touched vertices, they must classify as 0..7 do
     ids = [0, 1, 30, 64, 65, 94, 128, 129]
     spread = Graph(130, [(ids[u], ids[v]) for u, v in g.edges()])
     for h in (g, spread):
@@ -88,6 +92,34 @@ def test_three_routes_agree(g):
     patterns = frequencies_from_subgraph_counts(g)
     assert brute.counts == census.counts == patterns.counts
     assert brute.total() == census.total() == compute_q(g) ** 2
+
+
+def test_several_chunks_match_the_census():
+    # the classification takes about 16e6 cells a chunk: some 27 chunks here
+    g = erdos_renyi(30, 0.5, seed=1)
+    q = compute_q(g)
+    assert (q - 1) // (16_000_000 // q) >= 20
+    assert frequencies_brute(g) == frequencies_from_census(fast_census(g), g.m)
+
+
+def test_memory_grows_with_the_touched_vertices_not_n(tmp_path, capsys):
+    # a 200-edge matching on 400 ids spread over 10^6 vertices
+    n = 10**6
+    ids = random.Random(1).sample(range(n), 400)
+    edges_file = tmp_path / "matching.txt"
+    edges_file.write_text(f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in zip(ids[::2], ids[1::2])))
+    variances = {}
+    for algorithm in ("naive", "reuse"):
+        tracemalloc.start()
+        try:
+            assert main(["variance", str(edges_file), "--algorithm", algorithm, "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        variances[algorithm] = json.loads(capsys.readouterr().out)["variance"]
+        # the parse and the graph included
+        assert peak < 128 * 2**20, algorithm
+    assert variances["naive"] == variances["reuse"]
 
 
 class TestPairBudget:

@@ -73,6 +73,13 @@ class TestArrays:
         with pytest.raises(ValidationError, match=message):
             Graph(n, edges)
 
+    @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+    def test_unsigned_ids_past_int64_are_refused(self, big):
+        # cast to int64, they would wrap to negative ids the edges do not hold
+        with pytest.raises(ValidationError, match="^vertex id out of range$"):
+            Graph(2, np.array([[0, big]], dtype=np.uint64))
+        assert Graph(2, np.array([[0, 1]], dtype=np.uint64)) == Graph(2, [(0, 1)])
+
     def test_first_bad_edge_is_reported(self):
         with pytest.raises(ValidationError, match=r"edge \(0, 7\) out of range"):
             Graph(3, [(0, 1), (0, 7), (2, 2)])
