@@ -10,10 +10,12 @@ Three routes count the ordered pairs of Q elements of each type:
 :func:`frequencies_from_subgraph_counts` multiplies pattern counts taken by
 the enumerators of :mod:`crossvar.brute`, and
 :func:`frequencies_from_census` evaluates closed forms over a census.  The
-first two are oracles, and each checks its budget, a constant, before any
+first two are oracles, and each checks its budgets, constants, before any
 work: :func:`frequencies_brute` refuses more than :data:`PAIR_BUDGET` =
-2^33 ordered pairs, with q^2 taken from the degrees, and pattern counting
-refuses more than :data:`PATTERN_LIMIT` = 25 vertices.  The pair
+2^33 ordered pairs of Q elements, :data:`EDGE_PAIR_BUDGET` = 2^27 pairs of
+edges to list and :data:`ROW_BUDGET` = 2^30 bytes of membership rows, each
+taken from the degrees, and pattern counting refuses more than
+:data:`PATTERN_LIMIT` = 25 vertices.  The pair
 classification keeps one int8 membership row per vertex that an element
 touches, over the elements: it counts shared vertices by summing rows,
 and tells the two subtypes of the (0, 2) pairs apart by reading the rows
@@ -101,6 +103,12 @@ class FrequencyVector:
 #: it admits every graph of the selftest corpus (q^2 <= 1.5e7) and
 #: G(40, 1/2), whose q^2 is 4.1e9
 PAIR_BUDGET = 2**33
+#: most pairs of edges, C(m, 2), that :func:`frequencies_brute` tests one by
+#: one in Python to list Q: about five seconds
+EDGE_PAIR_BUDGET = 2**27
+#: most bytes of the int8 membership rows of :func:`frequencies_brute`, q
+#: times the touched vertices, counted as the vertices of positive degree
+ROW_BUDGET = 2**30
 
 
 def frequencies_brute(g: Graph) -> FrequencyVector:
@@ -114,15 +122,21 @@ def frequencies_brute(g: Graph) -> FrequencyVector:
     Shared edges are equal edge keys, read only where two or more vertices
     are shared, and a pair sharing two vertices and no edge is of type 021
     exactly when an edge of either element has both ends among the other's.
-    A graph with more than :data:`PAIR_BUDGET` ordered pairs is refused
-    from its degrees, before any pair is listed.
+    A graph over :data:`PAIR_BUDGET`, :data:`EDGE_PAIR_BUDGET` or
+    :data:`ROW_BUDGET` is refused from its degrees, before any pair is
+    listed.
     """
-    q2 = compute_q(g) ** 2
-    if q2 > PAIR_BUDGET:
-        raise OracleBudgetError(
-            f"pair classification needs q^2 = {q2} ordered pairs, over its budget of"
-            f" {PAIR_BUDGET} (2^33)"
-        )
+    q, m = compute_q(g), g.m
+    for need, what, budget in (
+        (q * q, "q^2 = {} ordered pairs", PAIR_BUDGET),
+        (m * (m - 1) // 2, "C(m, 2) = {} edge pairs", EDGE_PAIR_BUDGET),
+        (q * int(np.count_nonzero(g.degree_array)), "{} bytes of membership rows", ROW_BUDGET),
+    ):
+        if need > budget:
+            raise OracleBudgetError(
+                f"pair classification needs {what.format(need)}, over its budget of"
+                f" {budget} (2^{budget.bit_length() - 1})"
+            )
     pairs = independent_edge_pairs(g)
     q = len(pairs)
     freq = {code: 0 for code in PRODUCT_TYPES} | {"24": q}  # the diagonal

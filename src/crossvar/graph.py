@@ -23,6 +23,7 @@ input asking for more is refused before anything is allocated.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import warnings
@@ -40,7 +41,7 @@ from .errors import EdgeListParseError, InternalInconsistencyError, ValidationEr
 #: the edge keys ``u * n + v`` stay far inside int64
 MAX_VERTICES = 1 << 25
 
-# numpy sums of products of degrees run in int64 only below this bound
+# an int64 sum of degree products is taken only below this bound
 _INT64_SAFE = 1 << 62
 
 
@@ -299,26 +300,35 @@ class DegreeAggregates:
 
 
 def degree_aggregates(g: Graph) -> DegreeAggregates:
-    """All of :class:`DegreeAggregates` as numpy reductions over the vertices.
+    """All of :class:`DegreeAggregates`, from int64 arrays and the degree
+    histogram, exactly.
 
-    ``xi`` is gathered from the edges, each adding the degree of one end to
-    the other, so the adjacency rows are not needed.  The gather adds
-    float64 weights, exact while every partial sum stays below 2^53, as it
-    always does: each ``xi_s <= 2m`` and ``2m < n**2 <= 2^50`` under
-    :data:`MAX_VERTICES`.  Every summed term is at most ``kmax**4``, as
-    ``xi <= kmax**2``, so the reductions run in int64 when ``n * kmax**4``
-    stays below 2^62, and otherwise on exact Python ints in object arrays.
+    ``xi`` is scatter-added in int64 from the edges, each adding the degree
+    of one end to the other, so the adjacency rows are not needed.  The
+    moments are summed in Python ints over the degree histogram: a graph
+    with m edges has at most about ``2·sqrt(m)`` distinct degrees.  Every
+    term of ``xi2``, ``k2xi`` and ``psi`` is at most ``xi·max(xi, k**2)``,
+    so they are int64 dot products while ``n`` times that bound at the
+    largest ``k`` and ``xi`` stays below 2^62, and otherwise
+    :func:`_block_sums` adds them up.
     """
-    k, u, v = g.degree_array, g.edge_u, g.edge_v
-    weight = k.astype(np.float64)
-    xi = np.bincount(u, weights=weight[v], minlength=g.n)
-    xi += np.bincount(v, weights=weight[u], minlength=g.n)
-    xi = xi.astype(np.int64)
-    if g.n * int(k.max(initial=0)) ** 4 >= _INT64_SAFE:
-        k, xi = k.astype(object), xi.astype(object)
-    k2 = k * k
-    mmt2, mmt3, mmt4 = int(k.dot(k)), int(k2.dot(k)), int(k2.dot(k2))
-    xi2, k2xi, kxi = int(xi.dot(xi)), int(k2.dot(xi)), int(k.dot(xi))
+    n, k = g.n, g.degree_array
+    xi = np.zeros(n, dtype=np.int64)
+    np.add.at(xi, g.edge_u, k[g.edge_v])
+    np.add.at(xi, g.edge_v, k[g.edge_u])
+    hist = np.bincount(k)
+    degree = hist.nonzero()[0]
+    mmt2 = mmt3 = mmt4 = 0
+    for d, c in zip(degree.tolist(), hist[degree].tolist()):
+        c *= d * d
+        mmt2, mmt3, mmt4 = mmt2 + c, mmt3 + c * d, mmt4 + c * d * d
+    # each xi is at most kmax^2, so below n·kmax^4 no pass over xi is needed
+    kmax = len(hist) - 1
+    if n * kmax**4 < _INT64_SAFE or n * (x := int(xi.max())) * max(x, kmax * kmax) < _INT64_SAFE:
+        terms = k * xi
+        xi2, k2xi, kxi = int(xi.dot(xi)), int(terms.dot(k)), int(terms.sum())
+    else:
+        xi2, k2xi, kxi = _block_sums(k, xi)
     if kxi % 2:
         raise InternalInconsistencyError(f"sum_s k_s * xi(s) = {kxi} is odd")
     q2 = g.m * (g.m + 1) - mmt2
@@ -327,6 +337,26 @@ def degree_aggregates(g: Graph) -> DegreeAggregates:
     return DegreeAggregates(
         mmt2=mmt2, mmt3=mmt3, mmt4=mmt4, xi2=xi2, k2xi=k2xi, psi=kxi // 2, q=q2 // 2
     )
+
+
+def _block_sums(k: np.ndarray, xi: np.ndarray) -> list[int]:
+    """The sums of ``xi**2``, ``k**2 * xi`` and ``k * xi``, as Python ints.
+
+    A vertex with ``xi`` or ``k**2`` at 2^31 or more may have a term of
+    2^62 or more, so its terms are summed as Python ints and its ``xi``
+    cleared.  Every other term is below 2^62: each sum runs in int64 over
+    blocks of vertices whose length times its largest term is below 2^62,
+    and the block sums are added as Python ints.
+    """
+    big = np.flatnonzero((xi >= 1 << 31) | (k > math.isqrt((1 << 31) - 1)))
+    kb, xb = k[big].astype(object), xi[big].astype(object)
+    xi[big] = 0
+    kxi, sums = k * xi, []
+    for terms, exact in (xi * xi, xb * xb), (kxi * k, kb * kb * xb), (kxi, kb * xb):
+        step = (_INT64_SAFE - 1) // max(1, int(terms.max()))
+        blocks = np.add.reduceat(terms, np.arange(0, len(terms), step))
+        sums.append(exact.sum() + sum(blocks.tolist()))
+    return sums
 
 
 def compute_q(g: Graph) -> int:

@@ -119,7 +119,7 @@ def variance_naive(g: Graph, table: ExpectationTable | None = None) -> VarianceR
     """Reference route: classify every ordered pair of Q elements.
 
     Raises :class:`crossvar.errors.OracleBudgetError` over the
-    classification's budget, :data:`crossvar.frequencies.PAIR_BUDGET`.
+    classification's budgets (:func:`crossvar.frequencies.frequencies_brute`).
     """
     table = table or builtin_rla_table()
     freq = frequencies_brute(g)

@@ -174,6 +174,17 @@ class TestCountCrossings:
         pos = np.argsort(np.array(orders), axis=1)
         assert _count_positions(g, pos).tolist() == expected
 
+    @pytest.mark.parametrize("m, width, tally", [
+        (2**26, 2**26, np.int32), (2**26 + 1, 2**27, np.int64),
+    ])
+    def test_layout_tally_dtype_on_either_side_of_its_switch(self, m, width, tally):
+        # place·tally fits int32 while width·width.bit_length() < 2^31: 2^26
+        # padded keys are the most with an int32 tally, and one edge more
+        # doubles the width.  No graph that fits in memory reaches the switch
+        _, got_width, dtype, _ = arrangements._layout(m)
+        assert (got_width, dtype) == (width, np.dtype(tally))
+        assert (width * width.bit_length() < 2**31) == (dtype == np.int32)
+
     def test_complete_graph_crosses_once_in_every_four_vertices(self):
         # any four vertices of K_n in any order span exactly one crossing
         # pair, so C = C(n, 4) needs no oracle.  n = 100 merges over ten

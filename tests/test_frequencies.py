@@ -17,10 +17,12 @@ from crossvar.cli import main
 from crossvar.errors import EdgeListParseError, OracleBudgetError, ValidationError
 from crossvar.frequencies import (
     CONTRIBUTING_TYPES,
+    EDGE_PAIR_BUDGET,
     ExpectationTable,
     PAIR_BUDGET,
     PATTERN_LIMIT,
     PRODUCT_TYPES,
+    ROW_BUDGET,
     builtin_rla_table,
     classify_pair,
     frequencies_brute,
@@ -132,11 +134,35 @@ class TestPairBudget:
                     oracle(sparse_er)
         assert listed.call_count == 0
 
+    @staticmethod
+    def _needs(g):
+        # ordered Q pairs, edge pairs listed, and bytes of membership rows
+        q, m = compute_q(g), g.m
+        return q * q, m * (m - 1) // 2, q * sum(1 for d in g.degrees if d)
+
     def test_contract_and_corpus_fit_the_budget(self, full_corpus):
         # acceptance criterion 7 times variance_naive on G(40, 1/2)
-        assert compute_q(erdos_renyi(40, 0.5, seed=1)) ** 2 <= PAIR_BUDGET
-        for name, g in full_corpus:
-            assert compute_q(g) ** 2 <= PAIR_BUDGET, name
+        budgets = (PAIR_BUDGET, EDGE_PAIR_BUDGET, ROW_BUDGET)
+        for name, g in [("G(40, 1/2)", erdos_renyi(40, 0.5, seed=1)), *full_corpus]:
+            assert all(map(int.__le__, self._needs(g), budgets)), name
+
+    @pytest.mark.parametrize("leaves, edges, message", [
+        # q^2 = 8.1e9 fits, but C(m, 2) = 4.05e9 edge pairs would be listed
+        (90_000, 1, rf"C\(m, 2\) = 4050045000 edge pairs, .* {EDGE_PAIR_BUDGET} "),
+        # q^2 = 8.3e9 and C(m, 2) = 8.5e7 fit, the rows would take 1.18 GB
+        (13_000, 7, rf"1184638315 bytes of membership rows, .* {ROW_BUDGET} "),
+    ])
+    def test_hub_with_disjoint_edges_refused_at_once(self, leaves, edges, message):
+        hub = [(0, i) for i in range(1, leaves + 1)]
+        rest = [(leaves + 1 + 2 * i, leaves + 2 + 2 * i) for i in range(edges)]
+        g = Graph(leaves + 1 + 2 * edges, hub + rest)
+        assert compute_q(g) ** 2 <= PAIR_BUDGET
+        with mock.patch.object(
+            frequencies, "independent_edge_pairs", wraps=independent_edge_pairs
+        ) as listed:
+            with pytest.raises(OracleBudgetError, match=message):
+                frequencies_brute(g)
+        assert listed.call_count == 0
 
 
 def test_pattern_limit_is_checked_before_any_work():

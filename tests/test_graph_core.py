@@ -255,12 +255,69 @@ class TestAggregatesBeyondInt64:
         assert vars(degree_aggregates(g)) == _aggregates_by_definition(g)
 
 
-class TestNeighbourDegreeSums:
-    """``xi`` is gathered in float64, which adds integers exactly below 2^53."""
+def _hub(d, n):
+    """A hub of degree ``d`` with its leaves, padded with isolated vertices to ``n``."""
+    return Graph(n, [(0, i) for i in range(1, d + 1)])
 
-    def test_bound_covers_every_graph_within_budget(self):
-        # xi_s <= 2m < n^2 <= MAX_VERTICES^2, so the float gather is exact
-        assert MAX_VERTICES ** 2 <= 2 ** 53
+
+def _sums_by_definition(k, xi):
+    return [sum(x * x for x in xi), sum(d * d * x for d, x in zip(k, xi)),
+            sum(d * x for d, x in zip(k, xi))]
+
+
+class TestDegreeSumGuards:
+    """``degree_aggregates`` takes its three products in one int64 block
+    while ``n * ximax * max(ximax, kmax**2) < 2^62``; past that,
+    ``_block_sums`` sums Python ints for a vertex with ``xi`` or ``k**2``
+    at 2^31 or more and int64 blocks for every other vertex."""
+
+    @staticmethod
+    def _aggregates(g):
+        with mock.patch.object(graph, "_block_sums", wraps=graph._block_sums) as blocked:
+            agg = degree_aggregates(g)
+        assert vars(agg) == _aggregates_by_definition(g)
+        return blocked.called
+
+    def test_one_block_guard_at_its_edge(self):
+        # a hub of degree d next to its d leaves: ximax = kmax = d, so the
+        # bound is n * d^3 and the smallest n past it is the edge
+        d = 40_000
+        edge = -(-2**62 // d**3)
+        assert self._aggregates(_hub(d, edge - 1)) is False
+        # the hub's k^2 xi = d^3 fits one int64 block of edge - 1 vertices, not of edge
+        assert self._aggregates(_hub(d, edge)) is True
+
+    def test_past_the_old_line_in_one_block(self):
+        # n * kmax^4 = 6.25e18 >= 2^62 took the old sums to Python ints for
+        # every vertex; the hub's terms bound these at 1.25e15
+        g = _hub(5_000, 10_000)
+        assert g.n * max(g.degrees) ** 4 >= 2**62
+        assert self._aggregates(g) is False
+
+    @pytest.mark.parametrize("d, python_ints", [(46_340, []), (46_341, [0])])
+    def test_hub_at_the_python_int_line(self, d, python_ints):
+        # 46340^2 < 2^31 <= 46341^2: the hub's terms go to Python ints from 46341
+        picked, real = [], np.flatnonzero
+
+        def flatnonzero(a):
+            picked.append(real(a).tolist())
+            return real(a)
+
+        with mock.patch.object(graph.np, "flatnonzero", flatnonzero):
+            assert self._aggregates(_hub(d, 100_000)) is True
+        assert picked == [python_ints]
+
+    @pytest.mark.parametrize("k, xi", [
+        # xi just below and at 2^31, and one vertex whose k^2 xi passes int64
+        ([1, 1, 1, 1], [2**31 - 1] * 4),
+        ([1, 1, 2], [2**31 - 1, 2**31, 3]),
+        ([46_340, 46_341, 1], [2**31 - 1, 2**31 - 1, 2**31 - 1]),
+        ([2**25, 1, 3], [2**36, 2**25, 2**30]),
+    ])
+    def test_block_sums_on_both_sides_of_each_bound(self, k, xi):
+        got = graph._block_sums(np.array(k, dtype=np.int64), np.array(xi, dtype=np.int64))
+        assert got == _sums_by_definition(k, xi)
+        assert all(type(v) is int for v in got)
 
 
 def _outcome(text):
