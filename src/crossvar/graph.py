@@ -306,10 +306,10 @@ def degree_aggregates(g: Graph) -> DegreeAggregates:
     ``xi`` is scatter-added in int64 from the edges, each adding the degree
     of one end to the other, so the adjacency rows are not needed.  The
     moments are summed in Python ints over the degree histogram: a graph
-    with m edges has at most about ``2·sqrt(m)`` distinct degrees.  Every
-    term of ``xi2``, ``k2xi`` and ``psi`` is at most ``xi·max(xi, k**2)``,
-    so they are int64 dot products while ``n`` times that bound at the
-    largest ``k`` and ``xi`` stays below 2^62, and otherwise
+    with m edges has at most about ``2·sqrt(m)`` distinct degrees.  As
+    ``xi_s <= k_s·kmax``, none of ``xi2``, ``k2xi`` and ``2·psi`` exceeds
+    ``2m·kmax**3``, and no term or partial sum exceeds its total, so they
+    are int64 dot products while that stays below 2^63, and otherwise
     :func:`_block_sums` adds them up.
     """
     n, k = g.n, g.degree_array
@@ -322,9 +322,7 @@ def degree_aggregates(g: Graph) -> DegreeAggregates:
     for d, c in zip(degree.tolist(), hist[degree].tolist()):
         c *= d * d
         mmt2, mmt3, mmt4 = mmt2 + c, mmt3 + c * d, mmt4 + c * d * d
-    # each xi is at most kmax^2, so below n·kmax^4 no pass over xi is needed
-    kmax = len(hist) - 1
-    if n * kmax**4 < _INT64_SAFE or n * (x := int(xi.max())) * max(x, kmax * kmax) < _INT64_SAFE:
+    if g.m * (len(hist) - 1) ** 3 < _INT64_SAFE:
         terms = k * xi
         xi2, k2xi, kxi = int(xi.dot(xi)), int(terms.dot(k)), int(terms.sum())
     else:

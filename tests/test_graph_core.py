@@ -255,9 +255,11 @@ class TestAggregatesBeyondInt64:
         assert vars(degree_aggregates(g)) == _aggregates_by_definition(g)
 
 
-def _hub(d, n):
-    """A hub of degree ``d`` with its leaves, padded with isolated vertices to ``n``."""
-    return Graph(n, [(0, i) for i in range(1, d + 1)])
+def _hub(d, n, matching=0):
+    """A hub of degree ``d`` with its leaves, then ``matching`` disjoint
+    edges, padded with isolated vertices to ``n``."""
+    pairs = [(d + 1 + 2 * i, d + 2 + 2 * i) for i in range(matching)]
+    return Graph(n, [(0, i) for i in range(1, d + 1)] + pairs)
 
 
 def _sums_by_definition(k, xi):
@@ -267,45 +269,38 @@ def _sums_by_definition(k, xi):
 
 class TestDegreeSumGuards:
     """``degree_aggregates`` takes its three products in one int64 block
-    while ``n * ximax * max(ximax, kmax**2) < 2^62``; past that,
-    ``_block_sums`` sums Python ints for a vertex with ``xi`` or ``k**2``
-    at 2^31 or more and int64 blocks for every other vertex."""
+    while ``m * kmax**3 < 2^62``; past that, ``_block_sums`` sums Python
+    ints for a vertex with ``xi`` or ``k**2`` at 2^31 or more and int64
+    blocks for every other vertex."""
 
     @staticmethod
     def _aggregates(g):
+        expected = _aggregates_by_definition(g)
         with mock.patch.object(graph, "_block_sums", wraps=graph._block_sums) as blocked:
             agg = degree_aggregates(g)
-        assert vars(agg) == _aggregates_by_definition(g)
+        assert vars(agg) == expected
         return blocked.called
 
     def test_one_block_guard_at_its_edge(self):
-        # a hub of degree d next to its d leaves: ximax = kmax = d, so the
-        # bound is n * d^3 and the smallest n past it is the edge
+        # a hub of degree d and m - d disjoint edges: kmax = d, and the
+        # smallest m with m * d^3 >= 2^62 is the edge
         d = 40_000
         edge = -(-2**62 // d**3)
-        assert self._aggregates(_hub(d, edge - 1)) is False
-        # the hub's k^2 xi = d^3 fits one int64 block of edge - 1 vertices, not of edge
-        assert self._aggregates(_hub(d, edge)) is True
+        assert self._aggregates(_hub(d, 2 * edge, edge - 1 - d)) is False
+        assert self._aggregates(_hub(d, 2 * edge, edge - d)) is True
 
     def test_past_the_old_line_in_one_block(self):
-        # n * kmax^4 = 6.25e18 >= 2^62 took the old sums to Python ints for
-        # every vertex; the hub's terms bound these at 1.25e15
+        # n * kmax^4 = 6.25e18 >= 2^62 took the first int64 sums to Python
+        # ints for every vertex; m * kmax^3 is 6.25e14
         g = _hub(5_000, 10_000)
         assert g.n * max(g.degrees) ** 4 >= 2**62
         assert self._aggregates(g) is False
 
-    @pytest.mark.parametrize("d, python_ints", [(46_340, []), (46_341, [0])])
-    def test_hub_at_the_python_int_line(self, d, python_ints):
-        # 46340^2 < 2^31 <= 46341^2: the hub's terms go to Python ints from 46341
-        picked, real = [], np.flatnonzero
-
-        def flatnonzero(a):
-            picked.append(real(a).tolist())
-            return real(a)
-
-        with mock.patch.object(graph.np, "flatnonzero", flatnonzero):
-            assert self._aggregates(_hub(d, 100_000)) is True
-        assert picked == [python_ints]
+    @pytest.mark.parametrize("d, blocked", [(46_340, False), (46_341, True)])
+    def test_lone_hub_at_the_python_int_line(self, d, blocked):
+        # a lone hub has m * kmax^3 = d^4, past 2^62 exactly when d^2 >= 2^31,
+        # the line past which _block_sums sums its terms as Python ints
+        assert self._aggregates(_hub(d, d + 1)) is blocked
 
     @pytest.mark.parametrize("k, xi", [
         # xi just below and at 2^31, and one vertex whose k^2 xi passes int64
