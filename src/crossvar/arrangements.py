@@ -67,7 +67,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, read_number, scan_ids, vertex_ids
+from .graph import Graph, lines, read_number, scan_ids, vertex_ids
 
 #: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
@@ -122,8 +122,8 @@ def _read_lines(text: str) -> list[int]:
     """The ids of an arrangement text, line by line; raises at the first
     id that is not ASCII decimal digits."""
     order = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    for lineno, line in lines(text):
+        tokens = line.split()
         ids = list(map(read_number, tokens))
         if None in ids:
             bad = tokens[ids.index(None)]

@@ -4,8 +4,13 @@ Commands: ``stats`` (census summary), ``variance`` (exact crossing
 variance), ``zscore`` (standardized observed crossings plus tail bounds),
 ``selftest`` (built-in equality suite).
 
+Every input file is read as UTF-8 by :func:`crossvar.graph.read_text` and
+split into lines by one rule, :func:`crossvar.graph.lines`.
+
 Exit codes: 0 success, 1 selftest failure, 2 input/parse error or out of
-memory, 3 algorithm not applicable, 4 degenerate statistics.
+memory, 3 algorithm not applicable, 4 degenerate statistics.  Each error
+is one ``error:`` line on stderr, not a traceback; a file that is not
+UTF-8 is named with the line of its first bad byte.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .frequencies import builtin_rla_table, load_layout_table
-from .graph import load_graph, read_number
+from .graph import load_graph, read_number, read_text
 from .selftest import run_selftest
 from .variance import (
     compute_variance,
@@ -47,8 +52,7 @@ EXIT_DEGENERATE = 4
 def _load_table(spec: str):
     if spec == "rla":
         return builtin_rla_table()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return load_layout_table(fh.read(), name=spec)
+    return load_layout_table(read_text(spec), name=spec)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -101,8 +105,7 @@ def cmd_zscore(args) -> dict:
     g = load_graph(args.file)
     table = _load_table(args.layout)
     if args.arrangement is not None:
-        with open(args.arrangement, "r", encoding="utf-8") as fh:
-            observed = count_crossings(g, parse_arrangement(fh.read(), g))
+        observed = count_crossings(g, parse_arrangement(read_text(args.arrangement), g))
     result = compute_variance(g, table=table)
     if not 0 <= observed <= result.q:
         # each crossing is one pair of independent edges

@@ -26,7 +26,7 @@ not with n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -47,7 +47,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, compute_q, read_number
+from .graph import Graph, compute_q, lines, read_number
 
 PRODUCT_TYPES = ("00", "01", "021", "022", "03", "04", "12", "13", "24")
 
@@ -291,14 +291,15 @@ def frequencies_from_subgraph_counts(g: Graph) -> FrequencyVector:
     return FrequencyVector(counts=f, null_total=q * q - sum(f.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpectationTable:
     """A random layout: the crossing probability of one independent pair
-    and the covariance-term expectation for each product type."""
+    and the covariance-term expectation for each product type.  Two tables
+    are equal only when they are the same object."""
 
     name: str
     delta: Fraction
-    gamma: Mapping[str, Fraction] = field(compare=False)
+    gamma: Mapping[str, Fraction]
 
     def __post_init__(self):
         missing = [code for code in PRODUCT_TYPES if code not in self.gamma]
@@ -357,10 +358,7 @@ def load_layout_table(text: str, name: str = "custom") -> ExpectationTable:
     """
     # "delta" or a type code -> (line, key, value)
     given: dict[str, tuple[int, str, Fraction]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         if "=" not in line:
             raise EdgeListParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = (part.strip() for part in line.partition("="))

@@ -391,8 +391,8 @@ def parse_edge_list(text: str) -> Graph:
 
 _COMMENT = re.compile(rb"#[^\n]*")
 _DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
-# line breaks of str.splitlines beyond \n and \r, which the whole-text scans leave
-# to the line-by-line reading
+# line breaks of lines() beyond \n and \r, which the whole-text scans leave to
+# the line-by-line reading
 _OTHER_BREAKS_BYTES = b"\x0b\x0c\x1c\x1d\x1e"
 _OTHER_BREAKS_STR = ("\x85", "\u2028", "\u2029")
 # longest token the whole-text scans decode: MAX_VERTICES - 1 has 8 digits
@@ -469,20 +469,22 @@ def scan_ids(text: str) -> np.ndarray | None:
 
 
 def _uncommented(text: str) -> bytes | None:
-    """``text`` as bytes, ``\\r`` read as ``\\n``, comments cut and blanks
-    added up to 8 bytes, or ``None`` if a comment might end at a line break
-    that the whole-text scans do not take (:meth:`str.splitlines` takes
-    more).  A line break outside a comment is left for the caller's byte
-    check to refuse."""
+    """``text`` as bytes behind 8 blanks, ``\\r`` read as ``\\n`` and
+    comments cut, or ``None`` if a comment might end at a line break that
+    the whole-text scans do not take (:func:`lines` takes more).  A line
+    break outside a comment is left for the caller's byte check to refuse.
+
+    The leading blanks change no token and no line, and put every token's
+    end at least 8 bytes in, so that the 8 bytes that end at a token are
+    always a word of the text (:func:`_decode`)."""
     if not text.isascii() and any(c in text for c in _OTHER_BREAKS_STR):
         return None
-    data = text.encode().replace(b"\r", b"\n")
+    data = ("        " + text).encode().replace(b"\r", b"\n")
     if b"#" in data:
         if len(data.translate(None, _OTHER_BREAKS_BYTES)) != len(data):
             return None
         data = _COMMENT.sub(b"", data)
-    # trailing blanks change nothing, and the text then holds an 8-byte word
-    return data.ljust(8)
+    return data
 
 
 def _views(data: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +550,8 @@ def _tokens(
 def _decode(words: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The tokens of 1 to 8 digits that end ``8`` bytes past ``at`` and have
     ``length`` digits, as int64; ``words[e]`` holds the bytes ``e:e + 8`` of
-    the text, and ``at`` is negative for a token that ends before byte 8.
+    the text.  The text starts with 8 blanks (:func:`_uncommented`), so no
+    token ends before byte 8 and ``at`` is never negative.
 
     The word that ends at a token holds its first digit in the lowest byte
     of the token's part.  XOR with ``'0'`` takes each digit to its value
@@ -557,12 +560,7 @@ def _decode(words: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray
     digits into 2-, 4- and 8-digit numbers, the lower bytes the more
     significant.
     """
-    early = np.flatnonzero(at < 0)
-    # word 0 moved up, so that its top byte is the token's last digit
-    up = (-8 * at[early]).astype(np.uint64)
-    at[early] = 0
     word = words[at]
-    word[early] <<= up
     word ^= _ZEROS
     word &= _KEEP[length]
     word *= np.uint64(10 << 8 | 1)
@@ -580,10 +578,7 @@ def _scan_lines(text: str) -> tuple[np.ndarray, int | None]:
     """``(edge pairs, forced n)`` line by line; raises at the first bad line."""
     edges: list[tuple[int, int]] = []
     forced_n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         if line.startswith("n="):
             if edges or forced_n is not None:
                 raise EdgeListParseError("n= directive must come first", lineno)
@@ -628,6 +623,38 @@ def read_number(token: str) -> int | None:
     return None
 
 
+def lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of ``text`` that holds more
+    than a comment: this is the one line rule every reader takes.
+
+    Lines end at every break :meth:`str.splitlines` takes and are numbered
+    from 1; a ``#`` anywhere starts a comment, which is cut, the rest is
+    stripped, and a line left blank is skipped.
+    """
+    cut = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return ((lineno, line) for lineno, line in enumerate(cut, start=1) if line)
+
+
+def read_text(path: str) -> str:
+    """The file at ``path`` as text: its bytes decoded as UTF-8, with the
+    line breaks as written.  This is the one file read every input takes.
+
+    Bytes that are not UTF-8 raise :class:`ValidationError`, which names
+    the file and the line, by :func:`lines`' numbering, of the first bad
+    byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode()
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is the last line numbered when every '#' is
+        # taken out, so that nothing is cut, and a token stands in for the byte
+        head = exc.object[: exc.start].decode().replace("#", "")
+        lineno = max(k for k, _ in lines(head + "0"))
+        raise ValidationError(
+            f"{path}: line {lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+        ) from None
+
+
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(read_text(path))

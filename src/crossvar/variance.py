@@ -213,7 +213,7 @@ def compute_variance(
     """Dispatch to one of the variance routes by name."""
     algorithm = select_algorithm(g, algorithm)
     if algorithm == "rla-closed":
-        if table is not None and table.name != "rla":
+        if table is not None and table is not builtin_rla_table():
             raise ValidationError("the closed form is specific to the rla layout")
         return variance_rla_closed(g)
     routes = {

@@ -16,6 +16,7 @@ import crossvar
 from crossvar import selftest, variance
 from crossvar.census import fast_census, table_census
 from crossvar.cli import main
+from crossvar.errors import ValidationError
 from crossvar.frequencies import (
     PAIR_BUDGET,
     FrequencyVector,
@@ -273,6 +274,74 @@ class TestZscore:
 
     def test_zero_variance_exits_4(self, star_file):
         assert main(["zscore", star_file, "--observed", "0"]) == 4
+
+
+class TestUndecodableInput:
+    """One byte that is not UTF-8, 0xff, in any input file exits 2 with one
+    line naming the file and the line of the byte."""
+
+    # each bad file holds the byte, marked '@', on line 3, after a CRLF and
+    # a lone CR break
+    BAD = {
+        "graph": "0 1\r\n1 2\r2 3 @\n",
+        "order": "0 1\r\n2\r3 # @\n",
+        "table": RLA_TABLE.replace("1/3\n", "1/3\r\n").replace("p_00 = 1/9\n", "p_00 = 1/9\r")
+        .replace("p_01 = 1/9\n", "p_01 = 1/9 # @\n"),
+    }
+    GOOD = {"graph": C4_EDGES, "order": "0 2 1 3\n", "table": RLA_TABLE}
+
+    @staticmethod
+    def _write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode().replace(b"@", b"\xff"))
+        return str(path)
+
+    def _case(self, tmp_path, which):
+        return {
+            name: self._write(tmp_path, name, (self.BAD if name == which else self.GOOD)[name])
+            for name in self.GOOD
+        }
+
+    @pytest.mark.parametrize("which, argv", [
+        ("graph", ["stats", "{graph}"]),
+        ("graph", ["variance", "{graph}"]),
+        ("graph", ["zscore", "{graph}", "--observed", "0"]),
+        ("order", ["zscore", "{graph}", "--arrangement", "{order}"]),
+        ("table", ["variance", "{graph}", "--layout", "{table}"]),
+        ("table", ["zscore", "{graph}", "--observed", "1", "--layout", "{table}"]),
+    ], ids=["stats", "variance", "zscore", "arrangement", "layout", "zscore-layout"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, which, argv):
+        files = self._case(tmp_path, which)
+        assert main([arg.format(**files) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {files[which]}: line 3: byte 0xff is not UTF-8\n"
+
+    def test_console_exit_has_no_traceback(self, tmp_path):
+        path = self._write(tmp_path, "graph.txt", "0 1\n@\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossvar.cli", "stats", path],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(crossvar.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path}: line 2: byte 0xff is not UTF-8\n"
+
+    def test_load_graph_raises_validation_error(self, tmp_path):
+        path = self._write(tmp_path, "graph.txt", "# @\n0 1\n")
+        with pytest.raises(ValidationError, match="line 1: byte 0xff"):
+            crossvar.load_graph(path)
+
+    def test_utf8_comments_still_parse(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("# caf\u00e9\n" + C4_EDGES, encoding="utf-8")
+        order = tmp_path / "order.txt"
+        order.write_text("0 2 # caf\u00e9\n1 3\n", encoding="utf-8")
+        table = tmp_path / "rla.table"
+        table.write_text("# caf\u00e9\n" + RLA_TABLE, encoding="utf-8")
+        argv = ["zscore", str(graph), "--arrangement", str(order), "--layout", str(table), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["observed"] == 1
 
 
 class TestSelftest:

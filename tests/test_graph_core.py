@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossvar import cli, graph
+from crossvar.arrangements import parse_arrangement
 from crossvar.errors import CrossvarError, EdgeListParseError, ValidationError
+from crossvar.frequencies import load_layout_table
 from crossvar.generators import path, random_forest, random_tree, star
 from crossvar.graph import MAX_VERTICES, Graph, degree_aggregates, parse_edge_list
 from crossvar.variance import compute_variance, variance_forest
@@ -512,6 +514,32 @@ class TestWholeTextScan:
         text = "".join(f"{edges[i][1]}\t{edges[i][0]}\r\n" for i in perm)
         assert graph._scan_whole(text) is not None
         assert parse_edge_list(text) == g
+
+
+# what each line reader takes as a good line, and a line with a bad token
+_READERS = {
+    "edge list": (parse_edge_list, "0 1", "0 x"),
+    "arrangement": (lambda text: parse_arrangement(text, Graph(2, [])), "0 1", "0 x"),
+    "layout table": (load_layout_table, "delta = 1/3", "delta = x"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@pytest.mark.parametrize("template, line", [
+    ("{good}\r\n{bad}\r\n", 2),
+    ("{good}\r{bad}\r", 2),
+    ("{good}\x0b\x0b{bad}", 3),
+    ("# c\x0c{good}\x0c{bad}", 3),
+    ("{good}\x1c \t\x1c{bad}", 3),
+    ("{good}\x85# c\x85{bad}", 3),
+    ("{good}\u2028{bad}\u2028{good}", 2),
+    ("{good} # c # {bad}\n{bad}", 2),
+    ("\n \t\n{good}\n\t \n\r\n{bad}\n", 6),
+], ids=["crlf", "cr", "vt", "ff", "fs", "nel", "ls", "comment", "blank"])
+def test_every_reader_takes_one_line_rule(reader, template, line):
+    read, good, bad = _READERS[reader]
+    with pytest.raises(CrossvarError, match=rf"\bline {line}\b"):
+        read(template.format(good=good, bad=bad))
 
 
 class TestBudget:

@@ -175,6 +175,28 @@ class TestDispatch:
         with pytest.raises(ValidationError):
             compute_variance(path(4), algorithm="rla-closed", table=table)
 
+    def test_closed_form_rejects_another_layout_named_rla(self):
+        # a random 2-page book drawing: each edge on one of 2 pages, so
+        # delta/2, and gamma_k = rho (gamma + delta^2) - delta^2 / 4 with
+        # rho = 1/2 for type 24 and 1/4 for the rest
+        rla = builtin_rla_table()
+        square = rla.delta ** 2
+        gamma = {
+            code: Fraction(1, 2 if code == "24" else 4) * (rla.gamma[code] + square) - square / 4
+            for code in PRODUCT_TYPES
+        }
+        book = ExpectationTable(name="rla", delta=rla.delta / 2, gamma=gamma)
+        g = erdos_renyi(9, 0.5, seed=2)
+        r = compute_variance(g, algorithm="reuse", table=book)
+        assert (r.variance, r.expectation) == (Fraction(413, 18), Fraction(95, 6))
+        with pytest.raises(ValidationError, match="specific to the rla layout"):
+            compute_variance(g, algorithm="rla-closed", table=book)
+        # a table equals only itself: this one has the rla name and delta
+        assert ExpectationTable(name="rla", delta=rla.delta, gamma=gamma) != rla
+        assert compute_variance(g, algorithm="rla-closed", table=rla) == compute_variance(
+            g, algorithm="rla-closed"
+        )
+
 
 class TestForestCensus:
     def test_rejects_cycles(self):
