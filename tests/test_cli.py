@@ -319,10 +319,10 @@ class TestUndecodableInput:
 
     def test_console_exit_has_no_traceback(self, tmp_path):
         path = self._write(tmp_path, "graph.txt", "0 1\n@\n")
+        src = str(Path(crossvar.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "crossvar.cli", "stats", path],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(crossvar.__file__).parents[1])},
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stderr == f"error: {path}: line 2: byte 0xff is not UTF-8\n"
