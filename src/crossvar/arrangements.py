@@ -110,9 +110,10 @@ def parse_arrangement(text: str, g: Graph) -> np.ndarray:
     :func:`crossvar.graph.read_number` reads it.  The order is returned as
     :func:`validate_arrangement` returns it.
 
-    The whole text is tokenised at once (:func:`crossvar.graph.scan_ids`);
-    text that this does not accept, which includes every malformed text, is
-    read again line by line, which names the first bad id and its line.
+    The whole text is tokenised in blocks of whole lines
+    (:func:`crossvar.graph.scan_ids`); text that this does not accept,
+    which includes every malformed text, is read again line by line, which
+    names the first bad id and its line.
     """
     ids = scan_ids(text)
     return validate_arrangement(g, _read_lines(text) if ids is None else ids)

@@ -372,9 +372,9 @@ def parse_edge_list(text: str) -> Graph:
     with a warning.  ``n=`` and every vertex id are ASCII decimal digits
     (:func:`read_number`) and must stay within :data:`MAX_VERTICES`.
 
-    The whole text is checked and tokenised at once; text that this does
-    not accept, which includes every malformed text, is read again line by
-    line, which reports the first bad line by its number.
+    The whole text is checked and tokenised in blocks of whole lines; text
+    that this does not accept, which includes every malformed text, is read
+    again line by line, which reports the first bad line by its number.
     """
     scanned = _scan_whole(text)
     pairs, forced_n = scanned if scanned is not None else _scan_lines(text)
@@ -390,7 +390,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 _COMMENT = re.compile(rb"#[^\n]*")
-_DIRECTIVE = re.compile(rb"n=[ \t]*([0-9]{1,18})[ \t]*")
+# the directive, alone on the first line that holds more than blanks; an n
+# or = anywhere else fails the byte check of _scan_whole
+_DIRECTIVE = re.compile(rb"[ \t\n]*n=[ \t]*([0-9]{1,18})[ \t]*(?=\n|\Z)")
 # line breaks of lines() beyond \n and \r, which the whole-text scans leave to
 # the line-by-line reading
 _OTHER_BREAKS_BYTES = b"\x0b\x0c\x1c\x1d\x1e"
@@ -401,9 +403,8 @@ _DIGITS = 8
 # a token of L digits is its top L bytes, which _KEEP[L] keeps
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - L)) for L in range(9)], dtype=np.uint64)
 _ZEROS = np.uint64(0x3030303030303030)
-_BLANKS = re.compile(rb"[ \t\n]*")
 _TEXT_BYTES = b"0123456789 \t\n"
-# bytes of text per block of the edge-list scan, so that its temporaries
+# bytes of text per block of the whole-text scans, so that their temporaries
 # stay in cache; a block runs on to the end of its last line
 _BLOCK = 1 << 18
 
@@ -415,39 +416,24 @@ def _scan_whole(text: str) -> tuple[np.ndarray, int | None] | None:
     After comments and the directive are removed, only digits, spaces,
     tabs and line breaks may remain, every line must hold zero or two
     tokens of at most 8 digits, and no pair may be a self-loop or name a
-    vertex beyond the budget.  Every id below :data:`MAX_VERTICES` has at
-    most 8 digits, so only ids with leading zeros and ids over the budget
-    are left to the line-by-line reading.  The text is read in blocks of
-    whole lines (:func:`_scan_block`), each token from one machine word.
+    vertex beyond the budget (:func:`_edge_lines`).  Every id below
+    :data:`MAX_VERTICES` has at most 8 digits, so only ids with leading
+    zeros and ids over the budget are left to the line-by-line reading.
     """
     data = _uncommented(text)
     if data is None:
         return None
-    forced_n = None
-    start = _BLANKS.match(data).end()
-    if data.startswith(b"n", start):
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        directive = _DIRECTIVE.fullmatch(data, start, end)
-        if directive is None:
-            return None
-        forced_n = int(directive[1])
+    forced_n, start = None, 8
+    directive = _DIRECTIVE.match(data)
+    if directive is not None:
+        forced_n, start = int(directive[1]), directive.end()
         if forced_n > MAX_VERTICES:
             return None
-        start = end
     # the bytes outside the text set are those of the directive, if any
     if data.translate(None, _TEXT_BYTES) != data[:start].translate(None, _TEXT_BYTES):
         return None
-    chars, words = _views(data)
-    blocks = []
-    while start < len(data):
-        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        values = _scan_block(chars[start:end], words, start)
-        if values is None:
-            return None
-        blocks.append(values)
-        start = end
-    return np.concatenate(blocks or [np.empty(0, dtype=np.int64)]).reshape(-1, 2), forced_n
+    pairs = _scan(data, start, _edge_lines)
+    return None if pairs is None else (pairs.reshape(-1, 2), forced_n)
 
 
 def scan_ids(text: str) -> np.ndarray | None:
@@ -457,15 +443,13 @@ def scan_ids(text: str) -> np.ndarray | None:
 
     Comments are cut as in an edge list; after that only digits, spaces,
     tabs and line breaks may remain, and every id has at most 8 digits.
-    The whole text is tokenised at once, each id from one machine word
-    (:func:`_tokens`); it holds no directive and no lines to check, so the
-    ids are not checked against any range.
+    The text holds no directive and no lines to check, so the ids are not
+    checked against any range.
     """
     data = _uncommented(text)
     if data is None or data.translate(None, _TEXT_BYTES):
         return None
-    tokens = _tokens(*_views(data), 0)
-    return None if tokens is None else tokens[2]
+    return _scan(data, 8, lambda chars, starts, ends, values: values)
 
 
 def _uncommented(text: str) -> bytes | None:
@@ -474,9 +458,9 @@ def _uncommented(text: str) -> bytes | None:
     the whole-text scans do not take (:func:`lines` takes more).  A line
     break outside a comment is left for the caller's byte check to refuse.
 
-    The leading blanks change no token and no line, and put every token's
-    end at least 8 bytes in, so that the 8 bytes that end at a token are
-    always a word of the text (:func:`_decode`)."""
+    The leading blanks change no token and no line, and put the text from
+    byte 8 on, so that the 8 bytes that end at a token are always a word of
+    the text (:func:`_tokens`)."""
     if not text.isascii() and any(c in text for c in _OTHER_BREAKS_STR):
         return None
     data = ("        " + text).encode().replace(b"\r", b"\n")
@@ -487,24 +471,31 @@ def _uncommented(text: str) -> bytes | None:
     return data
 
 
-def _views(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``data`` as bytes and as the overlapping 8-byte words that start at
-    each of its bytes but the last seven."""
-    chars = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    return chars, words
+def _scan(data: bytes, start: int, take) -> np.ndarray | None:
+    """The values of the tokens of ``data`` from byte ``start`` on, at
+    least 8, read in blocks of whole lines of about :data:`_BLOCK` bytes,
+    or ``None`` if a token or a block is not plainly well formed.
 
-
-def _scan_block(chars: np.ndarray, words: np.ndarray, lo: int) -> np.ndarray | None:
-    """The vertex ids of the whole lines ``chars``, which start at byte
-    ``lo`` of the text, two per edge, or ``None`` if they are not plainly
-    well formed.  ``words[e]`` holds the eight bytes of the text from ``e``
-    on.
+    ``take(chars, starts, ends, values)`` gets each block's
+    :func:`_tokens` and gives the values kept, or ``None``.
     """
-    tokens = _tokens(chars, words, lo)
-    if tokens is None:
-        return None
-    starts, ends, values = tokens
+    blocks = [np.empty(0, dtype=np.int64)]
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        tokens = _tokens(data, start, end)
+        values = None if tokens is None else take(*tokens)
+        if values is None:
+            return None
+        blocks.append(values)
+        start = end
+    return np.concatenate(blocks)
+
+
+def _edge_lines(
+    chars: np.ndarray, starts: np.ndarray, ends: np.ndarray, values: np.ndarray
+) -> np.ndarray | None:
+    """``values``, two per edge, if the tokens of the whole lines ``chars``
+    are plainly well formed edges, or ``None``."""
     if len(starts) == 0:
         return values
     if len(starts) % 2:
@@ -528,14 +519,13 @@ def _scan_block(chars: np.ndarray, words: np.ndarray, lo: int) -> np.ndarray | N
     return values
 
 
-def _tokens(
-    chars: np.ndarray, words: np.ndarray, lo: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The digit runs of ``chars``, which hold only digits, blanks and line
-    breaks and start at byte ``lo`` of the text: their starts and ends in
-    ``chars`` and their values as int64, or ``None`` if a run has more than
-    8 digits.  ``words[e]`` holds the eight bytes of the text from ``e`` on.
+def _tokens(data: bytes, lo: int, hi: int) -> tuple[np.ndarray, ...] | None:
+    """The digit runs of ``data[lo:hi]``, which holds only digits, blanks
+    and line breaks, with ``lo`` at least 8: the block's bytes, the runs'
+    starts and ends in them and their values as int64, or ``None`` if a run
+    has more than 8 digits.
     """
+    chars = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
     # digit[i + 1] for byte i, between two non-digits
     digit = np.zeros(len(chars) + 2, dtype=bool)
     np.greater_equal(chars, ord("0"), out=digit[1:-1])
@@ -544,23 +534,22 @@ def _tokens(
     length = ends - starts
     if length.max(initial=0) > _DIGITS:
         return None
-    return starts, ends, _decode(words, ends + (lo - 8), length)
+    # words[e] holds the 8 bytes that end at byte e of the block
+    words = np.ndarray((hi - lo + 1,), dtype="<u8", buffer=data, offset=lo - 8, strides=(1,))
+    return chars, starts, ends, _decode(words[ends], length)
 
 
-def _decode(words: np.ndarray, at: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The tokens of 1 to 8 digits that end ``8`` bytes past ``at`` and have
-    ``length`` digits, as int64; ``words[e]`` holds the bytes ``e:e + 8`` of
-    the text.  The text starts with 8 blanks (:func:`_uncommented`), so no
-    token ends before byte 8 and ``at`` is never negative.
+def _decode(word: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The tokens of 1 to 8 digits that end each of the little-endian
+    words ``word`` and have ``length`` digits, as int64; ``word`` is
+    overwritten.
 
-    The word that ends at a token holds its first digit in the lowest byte
-    of the token's part.  XOR with ``'0'`` takes each digit to its value
-    without a borrow, the bytes in front of the token are cleared as
-    leading zeros, and three multiply/shift/mask steps fold neighbouring
-    digits into 2-, 4- and 8-digit numbers, the lower bytes the more
-    significant.
+    A token's word holds its first digit in the lowest byte of the token's
+    part.  XOR with ``'0'`` takes each digit to its value without a borrow,
+    the bytes in front of the token are cleared as leading zeros, and three
+    multiply/shift/mask steps fold neighbouring digits into 2-, 4- and
+    8-digit numbers, the lower bytes the more significant.
     """
-    word = words[at]
     word ^= _ZEROS
     word &= _KEEP[length]
     word *= np.uint64(10 << 8 | 1)

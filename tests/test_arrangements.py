@@ -292,7 +292,7 @@ _order_piece = st.one_of(
     st.builds(lambda v, zeros: "0" * zeros + str(v), st.integers(0, 7), st.integers(1, 9)),
     st.sampled_from([
         "123456789", "99999999", "33554432", "#", "x", "one", "\x0b", "\x0c", "\x1c", "\u2028",
-        "\u0662", "+", "_", "\u00e9", "# \u00e9\n", "# c\x0c", "#\x1c", "#\u2028", "\x85",
+        "\u0662", "+", "_", "\u00e9", "# \u00e9\n", "# c\x0c", "#\x1c", "#\u2028", "#\u2029", "\x85",
         "# c\x1d0 1\n", "# c\x1e0 1\n",
     ]),
 )
@@ -313,6 +313,17 @@ def arrangement_texts(draw):
     return n, "".join(pieces), None
 
 
+# a line of ids of one to eight digits, blank if it holds none, with blanks
+# around and between them and a comment after them
+_id_line = st.builds(
+    lambda pre, ids, sep, comment: pre + sep.join(map(str, ids)) + comment,
+    st.sampled_from(["", " ", "\t "]),
+    st.lists(st.integers(0, 12) | st.integers(0, 99_999_999), max_size=6),
+    st.sampled_from([" ", "\t", "  ", " \t "]),
+    st.sampled_from(["", " # c", "# 1 2", "#", "\t# \u00e9"]),
+)
+
+
 class TestArrangementScan:
     @settings(max_examples=300, deadline=None)
     @given(arrangement_texts())
@@ -326,6 +337,17 @@ class TestArrangementScan:
             assert ids.tolist() == arrangements._read_lines(text)
         if order is not None:
             assert ids is not None and ids.tolist() == order
+
+    @given(st.lists(_id_line, max_size=10), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+           arrangement_texts(), st.integers(1, 12))
+    def test_blocks_of_any_size(self, id_lines, newline, trailing, case, block):
+        text = newline.join(id_lines) + newline * trailing
+        n, other, _ = case
+        g = Graph(n, [])
+        with mock.patch.object(graph, "_BLOCK", block):
+            ids = scan_ids(text)
+            assert ids is not None and ids.tolist() == arrangements._read_lines(text)
+            assert _parsed(parse_arrangement, other, g) == _parsed(_read_line_by_line, other, g)
 
     @pytest.mark.parametrize("text", [
         "0 1 2\x0b3", "# c\x0c0 1 2 3", "0 1 # c\u20282 3", "0 1\x852 3", "0 1 2 000000003",

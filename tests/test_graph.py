@@ -51,6 +51,9 @@ class TestGraph:
         with pytest.raises(ValidationError):
             Graph(2, [(0, 2)])
 
+    def test_repr(self):
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
+
     def test_adjacent(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert g.adjacent(0, 1) and g.adjacent(1, 0)

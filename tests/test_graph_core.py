@@ -440,11 +440,27 @@ class TestWholeTextScan:
         assert outcome == _outcome_line_by_line(text)
 
     @pytest.mark.parametrize("text", [
-        "0 1\x0b2 3\n", "# c\x0c0 1\n", "0 1\x852 3\n", "# c\u20280 1\n", "0 1\r2 3",
-        "# c\x1d0 1\n", "# c\x1e0 1\n",
+        "0 1\x0b2 3\n", "# c\x0c0 1\n", "0 1\x852 3\n", "# c\u20280 1\n", "# c\u20290 1\n",
+        "0 1\r2 3", "# c\x1d0 1\n", "# c\x1e0 1\n",
     ])
     def test_other_line_breaks(self, text):
         assert _outcome(text) == _outcome_line_by_line(text)
+
+    @pytest.mark.parametrize("text, taken", [
+        ("\n \t\n# c\nn=3\n0 1\n", True),
+        (" \r\n# n=5\r\n\t n=3\t\r\n0 1", True),
+        ("n=3", True),
+        ("# c\n\nn=3 ", True),
+        ("n=3 0 1\n", False),
+        ("n=3 0 1", False),
+        ("0 1\nn=3\n", False),
+        ("0 1\n\n# c\nn=3", False),
+    ], ids=["blank-and-comment-lines", "crlf-and-comment", "end", "end-after-comment",
+            "edge-on-its-line", "edge-on-its-line-at-end", "after-an-edge",
+            "after-an-edge-at-end"])
+    def test_directive(self, text, taken):
+        assert _outcome(text) == _outcome_line_by_line(text)
+        assert (graph._scan_whole(text) is not None) is taken
 
     @pytest.mark.parametrize("text", ["0\n1\n", "0 1 2\n3\n", "0\n1 2 3\n", "0 \n 1\n"])
     def test_pair_split_across_lines(self, text):
