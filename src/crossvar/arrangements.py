@@ -59,6 +59,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
+from threading import enumerate as live_threads
 
 import numpy as np
 
@@ -198,11 +199,14 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
     memory grows by one workspace and one row buffer per worker.  There is
     no setting for the thread count.  The threads are a
     ``ThreadPoolExecutor`` made for the call, whose every job is one
-    worker's loop, so the pool's futures carry a worker's error to the call
-    and its exit joins the workers.  The first error, from ``fill`` or from
-    a count, stops every worker at its next turn and is raised by the call;
-    an interrupt of the calling thread, or a worker thread that cannot
-    start, stops them too.
+    worker's loop, so the pool's futures carry a worker's error to the call.
+    Every thread the call starts is joined before it returns or raises: the
+    pool's shutdown joins the threads it holds, and the call then joins every
+    live thread named with the pool's prefix, such as one whose start an
+    interrupt cut short.  The first error, from ``fill`` or from a count,
+    stops every worker at its next turn and is raised by the call; an
+    interrupt of the calling thread, or a worker thread that cannot start,
+    stops them too.
     """
     step = max(1, min(total, _chunk_rows(g)))
     out = np.empty(total, dtype=np.int64)
@@ -252,18 +256,30 @@ def _count_rows(g: Graph, total: int, fill) -> np.ndarray:
         return out
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(len(jobs)) as pool:
-        try:
-            # every worker starts before any takes a turn, so that none
-            # ends its loop and is handed a second job
-            with turn:
-                ends = pool.map(pinned, cpus, jobs)
-            # raises here what a worker raised
-            list(ends)
-        finally:
-            # an interrupt of this thread, or a thread that cannot start,
-            # stops every worker at its next turn before the pool joins them
-            stopped.append(None)
+    # the pool names its threads "<prefix>_<i>"; ``out`` lives as long as the call
+    prefix = f"crossvar-rows-{id(out)}"
+    pool = ThreadPoolExecutor(len(jobs), thread_name_prefix=prefix)
+    try:
+        # every worker starts before any takes a turn, so that none ends its
+        # loop and is handed a second job
+        with turn:
+            ends = pool.map(pinned, cpus, jobs)
+        # raises here what a worker raised
+        list(ends)
+    finally:
+        # an interrupt of this thread, or a thread that cannot start, stops
+        # every worker at its next turn before the pool joins them
+        stopped.append(None)
+        pool.shutdown()
+        # an interrupt inside a thread's start leaves a started thread that
+        # the pool does not hold, so its shutdown does not join it; joining a
+        # thread that is still starting raises RuntimeError, so the join is
+        # tried again until that thread has started
+        for thread in live_threads():
+            while thread.name.startswith(f"{prefix}_"):
+                with suppress(RuntimeError):
+                    thread.join()
+                    break
     return out
 
 

@@ -10,7 +10,8 @@ split into lines by one rule, :func:`crossvar.graph.lines`.
 Exit codes: 0 success, 1 selftest failure, 2 input/parse error or out of
 memory, 3 algorithm not applicable, 4 degenerate statistics.  Each error
 is one ``error:`` line on stderr, not a traceback; a file that is not
-UTF-8 is named with the line of its first bad byte.
+UTF-8 is named with the line of its first bad byte.  Each warning, such
+as that of collapsed duplicate edges, is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 from .arrangements import (
@@ -176,7 +178,10 @@ def main(argv=None) -> int:
     chosen here, from the payload or the error the command raised."""
     args = build_parser().parse_args(argv)
     try:
-        payload = args.fn(args)
+        with warnings.catch_warnings():
+            # one line per warning, without the file, line and source that raised it
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            payload = args.fn(args)
         _emit(payload, args.json)
     except (CrossvarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Built-in correctness suite over the standard family corpus.
 
-The corpus and the two equality checks (three-way frequency agreement,
-five-way variance agreement) are shared between the test suite and the
-``selftest`` CLI command.  The frequency check takes the ``general``
-route's census, the per-wedge merge, through
-:func:`crossvar.variance.route_census`, so that the variance check's
-``reuse`` and ``closed`` routes, which read the pair table, are compared
-with a census from a different source of intersections.
+:func:`verify` is the one check of a graph: three-way frequency
+agreement, the ``q^2`` sum and the agreement of every variance route.
+:func:`run_selftest`, behind the ``selftest`` CLI command, runs it over
+:func:`corpus`.  The frequency check takes the ``general`` route's census,
+the per-wedge merge, through :func:`crossvar.variance.route_census`, so
+that the ``reuse`` and ``closed`` variance routes, which read the pair
+table, are compared with a census from a different source of
+intersections.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .frequencies import (
 )
 from .graph import Graph, compute_q
 from .variance import (
-    builtin_rla_table,
     route_census,
     variance_forest,
     variance_from_frequencies,
@@ -82,55 +82,49 @@ class SelftestReport:
         return not self.failures
 
 
-def check_frequencies(name: str, g: Graph, report: SelftestReport, brute, patterns) -> None:
-    """Three independent routes to the type frequencies must agree;
-    ``brute`` and ``patterns`` are :func:`frequencies_brute` and
-    :func:`frequencies_from_subgraph_counts` of ``g``."""
+def verify(g: Graph) -> tuple[int, list[str]]:
+    """Check every route on ``g`` against the naive classification: the
+    number of comparisons made, and each disagreement found.
+
+    The naive frequencies (:func:`frequencies_brute`) must agree with the
+    ``general`` route's census and with pattern counting, type by type,
+    and sum to ``q^2``; every variance route must give the naive route's
+    exact rational.
+    """
+    brute = frequencies_brute(g)
+    patterns = frequencies_from_subgraph_counts(g)
     census = frequencies_from_census(route_census(g, "general")[1], g.m)
+    failures = [
+        f"f_{code} brute={brute.counts[code]} {other}={f.counts[code]}"
+        for code in CONTRIBUTING_TYPES
+        for other, f in (("census", census), ("patterns", patterns))
+        if brute.counts[code] != f.counts[code]
+    ]
     q = compute_q(g)
-    for code in CONTRIBUTING_TYPES:
-        report.comparisons += 2
-        if brute.counts[code] != census.counts[code]:
-            report.failures.append(
-                f"{name}: f_{code} brute={brute.counts[code]} census={census.counts[code]}"
-            )
-        if brute.counts[code] != patterns.counts[code]:
-            report.failures.append(
-                f"{name}: f_{code} brute={brute.counts[code]} patterns={patterns.counts[code]}"
-            )
-    report.comparisons += 1
     if brute.total() != q * q:
-        report.failures.append(f"{name}: sum of frequencies {brute.total()} != q^2 {q * q}")
-
-
-def check_variances(name: str, g: Graph, report: SelftestReport, brute, patterns) -> None:
-    """All variance routes must produce one exact rational; ``brute`` and
-    ``patterns`` are the frequencies :func:`check_frequencies` takes."""
-    table = builtin_rla_table()
+        failures.append(f"sum of frequencies {brute.total()} != q^2 {q * q}")
+    # every route on the RLA table, the default of each
     routes = {
-        "naive": variance_from_frequencies(brute, table),
-        "patterns": variance_from_frequencies(patterns, table),
-        "general": variance_general(g, table).variance,
-        "reuse": variance_general_reuse(g, table).variance,
+        "naive": variance_from_frequencies(brute),
+        "patterns": variance_from_frequencies(patterns),
+        "general": variance_general(g).variance,
+        "reuse": variance_general_reuse(g).variance,
         "closed": variance_rla_closed(g).variance,
     }
     if g.is_forest():
-        routes["forest"] = variance_forest(g, table).variance
-    reference = routes["naive"]
-    for route, value in routes.items():
-        report.comparisons += 1
-        if value != reference:
-            report.failures.append(
-                f"{name}: variance {route}={value} != naive={reference}"
-            )
+        routes["forest"] = variance_forest(g).variance
+    failures += [f"variance {route}={value} != naive={routes['naive']}"
+                 for route, value in routes.items() if value != routes["naive"]]
+    return 2 * len(CONTRIBUTING_TYPES) + 1 + len(routes), failures
 
 
 def run_selftest(full: bool = True) -> SelftestReport:
+    """:func:`verify` on every graph of :func:`corpus`, each disagreement
+    led by the graph's name."""
     report = SelftestReport()
     for name, g in corpus(full=full):
-        brute = frequencies_brute(g)
-        patterns = frequencies_from_subgraph_counts(g)
-        check_frequencies(name, g, report, brute, patterns)
-        check_variances(name, g, report, brute, patterns)
+        comparisons, failures = verify(g)
         report.graphs_checked += 1
+        report.comparisons += comparisons
+        report.failures += [f"{name}: {failure}" for failure in failures]
     return report

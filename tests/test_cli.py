@@ -82,6 +82,13 @@ class TestStats:
         p.write_text("0 1\nnope\n")
         assert main(["stats", str(p)]) == 2
 
+    def test_duplicate_edge_is_one_warning_line(self, tmp_path, capsys):
+        # the message alone: no file, line number or source line of the parser
+        p = tmp_path / "duplicate.txt"
+        p.write_text("0 1\n1 0\n")
+        assert main(["stats", str(p)]) == 0
+        assert capsys.readouterr().err == "warning: collapsed 1 duplicate edge(s)\n"
+
     @pytest.mark.parametrize("text", ["0 1 # c\n1 2\n", "n=4 # four\n0 1\n1 2\n"])
     def test_comment_after_a_line(self, tmp_path, capsys, text):
         p = tmp_path / "commented.txt"
@@ -349,6 +356,11 @@ class TestSelftest:
         assert main(["selftest", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["failures"] == []
+
+    def test_quick_corpus_size(self):
+        # the corpus as it stands; the full one is 328 graphs in 6736 comparisons
+        report = selftest.run_selftest(full=False)
+        assert (report.graphs_checked, report.comparisons, report.failures) == (69, 1428, [])
 
     def test_passes_with_asserts_stripped(self):
         # python -O removes assert statements; the invariants must not rely on them
