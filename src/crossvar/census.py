@@ -17,7 +17,10 @@ differ only in where the intersections come from: :func:`fast_census`
 merges two sorted adjacency lists for every edge and every wedge
 ``a-x-b``, :func:`table_census` counts equal keys in one table of vertex
 pairs, and :func:`forest_census` requests none, because all three sums
-vanish on an acyclic graph.  The table is read in blocks of whole rows,
+vanish on an acyclic graph.  A small dense graph, whose whole table would
+be one bitset block, reads every ``c_ab`` as an entry of the float32
+matrix product ``A·A``, which is exact because every partial sum is an
+integer below 2^24.  Any other table is read in blocks of whole rows,
 and each block takes one of three sides from its own shape.  A dense
 block reads every ``c_ab`` as the bits two packed adjacency rows share,
 without listing a key; any other block lists its keys, the far ends of
@@ -240,15 +243,49 @@ def _twins(n: int, owner: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.argsort(indices * n + owner)
 
 
+def _product_census(g: Graph) -> tuple[CensusReport, int]:
+    """:func:`table_census` of a graph whose whole table is one bitset
+    block, with every ``c_ab`` read from the float32 product ``A·A`` of
+    its adjacency matrix ``A``.
+
+    The product is exact however BLAS orders or blocks its sums: each
+    entry adds up ``n`` products of 0 and 1, so every partial sum is an
+    integer of at most ``n <= 256 < 2^24``.  The edges are read off
+    ``edge_u``/``edge_v`` and the table's pairs are the ``a < b`` with
+    ``c_ab > 0`` and the edges with ``c_ab = 0``.  The working set is two
+    ``n × n`` float32 matrices and one int64 one, 1 MiB at ``n = 256``,
+    and a few int64 arrays of ``m`` entries.
+    """
+    n, u, v, k = g.n, g.edge_u, g.edge_v, g.degree_array
+    edge = u * n + v
+    adjacency = np.zeros(n * n, dtype=np.float32)
+    adjacency[edge] = 1
+    adjacency[v * n + u] = 1
+    adjacency = adjacency.reshape(n, n)
+    c = (adjacency @ adjacency).astype(np.int64)
+    c_edge = c.take(edge)
+    # the diagonal holds the degrees, which are no pairs
+    np.fill_diagonal(c, 0)
+    # each pair a, b is counted as (a, b) and as (b, a)
+    c = c.ravel()
+    c4_scaled = (int(c.dot(c)) - int(c.sum())) // 2
+    pairs = int(np.count_nonzero(c)) // 2 + int(np.count_nonzero(c_edge == 0))
+    s_sum = _exact_quotient(int(((k[u] + k[v]) * c_edge).sum()), 2, "s_sum")
+    return reduce_census(g, int(c_edge.sum()), s_sum, c4_scaled), pairs
+
+
 def table_census(g: Graph) -> tuple[CensusReport, int]:
     """The census from one table of vertex pairs, and the number of
     distinct pairs it names: the edges and the ends of every wedge.
 
     Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
-    ``c_ab`` is the number of equal keys.  The table is read one block of
-    rows ``lo <= a < hi`` at a time, and each block takes one of three
-    sides from its own shape, with ``K`` its number of keys and ``w =
-    ⌈n/64⌉``:
+    ``c_ab`` is the number of equal keys.  A graph whose table would be a
+    single bitset block, with ``n² <= _TABLE_KEYS`` and ``n²·w`` at most
+    its ``W = sum_x k_x (k_x - 1) / 2`` keys, reads every ``c_ab`` from
+    one matrix product (:func:`_product_census`) and builds no adjacency
+    rows.  Any other table is read one block of rows ``lo <= a < hi`` at a
+    time, and each block takes one of three sides from its own shape,
+    with ``K`` its number of keys and ``w = ⌈n/64⌉``:
 
     * bitset, when ``(hi - lo)·n·w <= K``: one word operation per pair
       ``a, b`` and 64 columns costs no more than listing the keys.  The
@@ -273,7 +310,10 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
     Both are below 2^62 for ``n <= 2^25`` and ``m < 2^35``, and the block
     sums are added up as Python ints.
     """
-    n, indptr, indices, k = g.n, g.indptr, g.indices, g.degree_array
+    n, k = g.n, g.degree_array
+    if n * n <= _TABLE_KEYS and n * n * -(-n // 64) <= int((k * (k - 1)).sum()) // 2:
+        return _product_census(g)
+    indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), k)
     # the ends b > a of the wedges a-x-b are the neighbours of x past a; a
     # row's keys add up to at most 2m, exact in the float64 bincount

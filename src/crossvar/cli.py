@@ -4,8 +4,9 @@ Commands: ``stats`` (census summary), ``variance`` (exact crossing
 variance), ``zscore`` (standardized observed crossings plus tail bounds),
 ``selftest`` (built-in equality suite).
 
-Every input file is read as UTF-8 by :func:`crossvar.graph.read_text` and
-split into lines by one rule, :func:`crossvar.graph.lines`.
+Every input file is read as UTF-8, a leading byte-order mark dropped, by
+:func:`crossvar.graph.read_text` and split into lines by one rule,
+:func:`crossvar.graph.lines`.
 
 Exit codes: 0 success, 1 selftest failure, 2 input/parse error or out of
 memory, 3 algorithm not applicable, 4 degenerate statistics.  Each error

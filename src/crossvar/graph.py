@@ -628,16 +628,18 @@ def read_text(path: str) -> str:
     """The file at ``path`` as text: its bytes decoded as UTF-8, with the
     line breaks as written.  This is the one file read every input takes.
 
-    Bytes that are not UTF-8 raise :class:`ValidationError`, which names
-    the file and the line, by :func:`lines`' numbering, of the first bad
-    byte.
+    A UTF-8 byte-order mark at the start is dropped; any other U+FEFF is
+    kept as text, so outside a comment it is refused.  Bytes that are not
+    UTF-8 raise :class:`ValidationError`, which names the file and the
+    line, by :func:`lines`' numbering, of the first bad byte.
     """
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode()
+            return fh.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bad byte's line is the last line numbered when every '#' is
-        # taken out, so that nothing is cut, and a token stands in for the byte
+        # the error holds the bytes after the mark, if any; the bad byte's line
+        # is the last line numbered when every '#' is taken out, so that
+        # nothing is cut, and a token stands in for the byte
         head = exc.object[: exc.start].decode().replace("#", "")
         lineno = max(k for k, _ in lines(head + "0"))
         raise ValidationError(

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from crossvar import brute, census
 from crossvar.census import fast_census
 from crossvar.errors import OracleBudgetError, ValidationError
-from crossvar.generators import complete, cycle, erdos_renyi, path, star
+from crossvar.generators import complete, complete_bipartite, cycle, erdos_renyi, path, star
 from crossvar.graph import Graph
 
 
@@ -100,9 +100,10 @@ class TestPairTable:
         return result, (bitset.call_count, sides.count(True), sides.count(False)), widths
 
     def test_dense_graph_counts_by_bitset(self):
+        # 2^10 pairs per block, fewer than the 40² one product would read: blocks of 25 and 15 rows
         g = complete(40)
         with mock.patch.object(census.np, "searchsorted", wraps=np.searchsorted) as index:
-            assert self._sides(g)[1] == (1, 0, 0)
+            assert self._sides(g, table_keys=1 << 10)[1] == (2, 0, 0)
         # no wedge index: every block reads its pairs from the bitsets
         assert not index.called
         self._check(g, (fast_census(g), len(_pairs(g))))
@@ -160,8 +161,78 @@ class TestPairTable:
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
     def test_rows_across_word_boundaries(self, n):
         g = er(n, 0.3, seed=n)
-        assert self._sides(g)[1][0] > 0
+        assert self._sides(g, table_keys=n * n // 2)[1][0] > 0
         self._check(g, (fast_census(g), len(_pairs(g))))
+
+
+class TestProductCensus:
+    """A graph whose whole pair table would be one bitset block reads every
+    ``c_ab`` from one float32 matrix product, builds no adjacency rows and
+    gives the census and pair count of every other side."""
+
+    @staticmethod
+    def _product(g):
+        """``_product_census(g)``, checked against criterion 8's bound on the
+        pair count, and whether it left the adjacency rows unbuilt.  Every
+        count is a Python int, as JSON output needs."""
+        result = census._product_census(g)
+        unbuilt = g._rows is None
+        c, pairs = result
+        assert all(type(x) is int for x in (pairs, *c.to_json_dict().values()))
+        assert pairs <= g.m + sum(k * (k - 1) // 2 for k in g.degrees) - 3 * c.nC3
+        return result, unbuilt
+
+    @pytest.mark.parametrize("g", [
+        *(complete(n) for n in range(2, 41)),
+        *(complete_bipartite(a, b)
+          for a, b in [(1, 1), (2, 3), (4, 4), (3, 30), (20, 20), (40, 40)]),
+        *(er(n, 0.5, seed=n) for n in (63, 64, 65, 128, 129)),
+        Graph(0, []),
+    ], ids=repr)
+    def test_equals_the_merge(self, g):
+        result, unbuilt = self._product(g)
+        assert unbuilt
+        assert result == (fast_census(g), len(_pairs(g)))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_equals_the_blocked_table(self, n):
+        # the merge takes about half a minute on these graphs; the table in
+        # blocks of a quarter of the rows, which other tests check against
+        # it, does not
+        g = er(n, 0.5, seed=n)
+        result, unbuilt = self._product(g)
+        assert unbuilt
+        blocked, sides, _ = TestPairTable._sides(g, table_keys=n * n // 4)
+        assert sides[0] > 1
+        assert result == blocked == (blocked[0], len(_pairs(g)))
+
+    @pytest.mark.parametrize("g", [
+        *(complete(n) for n in (5, 40, 256)),
+        complete_bipartite(20, 20),
+        *(er(n, 0.5, seed=n) for n in (63, 129, 256)),
+        Graph(0, []),
+    ], ids=repr)
+    def test_table_takes_the_product(self, g):
+        with mock.patch.object(census, "_product_census", wraps=census._product_census) as product:
+            result = census.table_census(g)
+        assert product.call_count == 1
+        assert g._rows is None
+        assert result == self._product(g)[0]
+
+    @pytest.mark.parametrize("g", [
+        # n² past the table's block of pairs, however dense
+        er(257, 0.5, seed=257),
+        # one block, but fewer keys than bitset words
+        er(200, 0.02, seed=200),
+        complete(4),
+        complete_bipartite(4, 4),
+    ], ids=repr)
+    def test_other_graphs_take_the_table(self, g):
+        with mock.patch.object(census, "_product_census", wraps=census._product_census) as product:
+            result = census.table_census(g)
+        assert not product.called
+        assert g._rows is not None
+        assert result == self._product(g)[0]
 
 
 class TestCountsAgainstBrute:

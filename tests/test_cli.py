@@ -351,6 +351,48 @@ class TestUndecodableInput:
         assert json.loads(capsys.readouterr().out)["observed"] == 1
 
 
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is dropped:
+    every command prints what it prints for the file without it."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def _run(self, tmp_path, capsys, marked):
+        files = {}
+        for name, text in TestUndecodableInput.GOOD.items():
+            path = tmp_path / f"{name}-{marked}.txt"
+            path.write_bytes((self.BOM if name == marked else b"") + text.encode())
+            files[name] = str(path)
+        zscore = ["zscore", files["graph"], "--arrangement", files["order"], "--json"]
+        variance = ["variance", files["graph"], "--json"]
+        outputs = []
+        for args in (zscore, zscore + ["--layout", files["table"]], variance):
+            assert main(args) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        return outputs
+
+    @pytest.mark.parametrize("marked", ["graph", "order", "table"])
+    def test_same_output_with_and_without_the_mark(self, tmp_path, capsys, marked):
+        assert self._run(tmp_path, capsys, marked) == self._run(tmp_path, capsys, None)
+
+    def test_bad_byte_keeps_its_line(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        bad = TestUndecodableInput.BAD["graph"].encode().replace(b"@", b"\xff")
+        path.write_bytes(self.BOM + bad)
+        assert main(["stats", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: byte 0xff is not UTF-8\n"
+
+    def test_a_second_mark_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(self.BOM + self.BOM + C4_EDGES.encode())
+        assert main(["stats", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: vertex ids must be ASCII decimal digits: '\\ufeff0 1'\n"
+        )
+
 class TestSelftest:
     def test_quick_run_passes(self, capsys):
         assert main(["selftest", "--quick", "--json"]) == 0
