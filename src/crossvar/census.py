@@ -17,16 +17,18 @@ differ only in where the intersections come from: :func:`fast_census`
 merges two sorted adjacency lists for every edge and every wedge
 ``a-x-b``, :func:`table_census` counts equal keys in one table of vertex
 pairs, and :func:`forest_census` requests none, because all three sums
-vanish on an acyclic graph.  A small dense graph, whose whole table would
-be one bitset block, reads every ``c_ab`` as an entry of the float32
-matrix product ``A·A``, which is exact because every partial sum is an
-integer below 2^24.  Any other table is read in blocks of whole rows,
-and each block takes one of three sides from its own shape.  A dense
-block reads every ``c_ab`` as the bits two packed adjacency rows share,
-without listing a key; any other block lists its keys, the far ends of
-each half-edge's wedges read off after its twin, and counts equal ones
-with one ``bincount`` when its key span is no larger than its number of
-keys, and by sorting them otherwise, as int32 when the span allows.  Each
+vanish on an acyclic graph.  The table is read in blocks of whole rows,
+and each block takes one of two sides from its own shape.  A dense block
+holds every ``c_ab`` of its rows in one count matrix, without listing a
+key, and one reduction reads its sums off that matrix; the block's shape
+picks the kernel that fills it.  A block of every row, the whole table of
+a small dense graph, is the float32 matrix product ``A·A``, exact because
+every partial sum is an integer below 2^24, and any other dense block
+counts the bits two packed adjacency rows share.  Any other block lists
+its keys, the far ends of each half-edge's wedges read off after its
+twin, and counts equal ones with one ``bincount`` when its key span is no
+larger than its number of keys, and by sorting them otherwise, as int32
+when the span allows.  Each
 ``c_ab <= n`` and the ``c_ab`` of a block of ``K`` keys add up to ``K``,
 so its int64 sums stay below ``2n·K``, below 2^62 for any graph that fits
 in memory (``n <= 2^25``, ``m < 2^35``), and the blocks are added up as
@@ -36,6 +38,7 @@ Python ints.  Each count has a brute-force counterpart in
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -47,8 +50,9 @@ from .graph import Graph, degree_aggregates
 #: entries per block of the pair table that lists its keys, and vertex
 #: pairs per block that reads them from bitsets.  A listed block has at
 #: most six int64 arrays of its length alive at once; a bitset block has an
-#: int32 count, a uint64 word and its uint8 bit count per pair, later a
-#: copy of the counts and a mask.  Either working set stays under 4 MiB.
+#: int32 count, a uint64 word and its uint8 bit count per pair, later an
+#: int64 copy of the counts and one of those past its rows' columns.
+#: Either working set stays under 4 MiB.
 _TABLE_KEYS = 1 << 16
 
 
@@ -243,76 +247,42 @@ def _twins(n: int, owner: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.argsort(indices * n + owner)
 
 
-def _product_census(g: Graph) -> tuple[CensusReport, int]:
-    """:func:`table_census` of a graph whose whole table is one bitset
-    block, with every ``c_ab`` read from the float32 product ``A·A`` of
-    its adjacency matrix ``A``.
+def _dense_sums(c: np.ndarray, edge_at: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """``(c4_scaled, pairs, c_edge)`` of a dense block of rows ``lo <= a <
+    hi``, whose int64 ``c[a - lo, b - lo]`` is ``c_ab`` for every ``b >= lo``:
+    ``c_ab (c_ab - 1)`` added up over its pairs, its pairs with ``c_ab >
+    0``, and its edges' ``c_ab``, read at their flat positions ``edge_at``.
 
-    The product is exact however BLAS orders or blocks its sums: each
-    entry adds up ``n`` products of 0 and 1, so every partial sum is an
-    integer of at most ``n <= 256 < 2^24``.  The edges are read off
-    ``edge_u``/``edge_v`` and the table's pairs are the ``a < b`` with
-    ``c_ab > 0`` and the edges with ``c_ab = 0``.  The working set is two
-    ``n × n`` float32 matrices and one int64 one, 1 MiB at ``n = 256``,
-    and a few int64 arrays of ``m`` entries.
+    The first ``hi - lo`` columns hold each pair of the block's rows twice,
+    as ``(a, b)`` and ``(b, a)``, and their degrees on the diagonal; the
+    other columns hold each pair once.  The diagonal is zeroed in place,
+    and every sum is taken over all the counts once and those past the
+    first ``hi - lo`` columns once more, so each pair is counted twice.
     """
-    n, u, v, k = g.n, g.edge_u, g.edge_v, g.degree_array
-    edge = u * n + v
-    adjacency = np.zeros(n * n, dtype=np.float32)
-    adjacency[edge] = 1
-    adjacency[v * n + u] = 1
-    adjacency = adjacency.reshape(n, n)
-    c = (adjacency @ adjacency).astype(np.int64)
-    c_edge = c.take(edge)
-    # the diagonal holds the degrees, which are no pairs
+    c_edge = c.take(edge_at)
     np.fill_diagonal(c, 0)
-    # each pair a, b is counted as (a, b) and as (b, a)
-    c = c.ravel()
-    c4_scaled = (int(c.dot(c)) - int(c.sum())) // 2
-    pairs = int(np.count_nonzero(c)) // 2 + int(np.count_nonzero(c_edge == 0))
-    s_sum = _exact_quotient(int(((k[u] + k[v]) * c_edge).sum()), 2, "s_sum")
-    return reduce_census(g, int(c_edge.sum()), s_sum, c4_scaled), pairs
+    once, flat = c[:, len(c):].ravel(), c.ravel()
+    twice = int(flat.dot(flat)) - int(flat.sum()) + int(once.dot(once)) - int(once.sum())
+    return twice // 2, int(np.count_nonzero(flat) + np.count_nonzero(once)) // 2, c_edge
 
 
-def table_census(g: Graph) -> tuple[CensusReport, int]:
-    """The census from one table of vertex pairs, and the number of
-    distinct pairs it names: the edges and the ends of every wedge.
-
-    Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
-    ``c_ab`` is the number of equal keys.  A graph whose table would be a
-    single bitset block, with ``n² <= _TABLE_KEYS`` and ``n²·w`` at most
-    its ``W = sum_x k_x (k_x - 1) / 2`` keys, reads every ``c_ab`` from
-    one matrix product (:func:`_product_census`) and builds no adjacency
-    rows.  Any other table is read one block of rows ``lo <= a < hi`` at a
-    time, and each block takes one of three sides from its own shape,
-    with ``K`` its number of keys and ``w = ⌈n/64⌉``:
-
-    * bitset, when ``(hi - lo)·n·w <= K``: one word operation per pair
-      ``a, b`` and 64 columns costs no more than listing the keys.  The
-      block covers about ``_TABLE_KEYS`` pairs ``a, b`` and reads every
-      ``c_ab`` as the bits two packed adjacency rows share
-      (:func:`_bitset_counts`), without building a key.
-    * bincount or sort, otherwise: the block lists about ``_TABLE_KEYS``
-      keys and edges, stored relative to the block as ``(a - lo)·n + b``
-      below its span ``(hi - lo)·n``.  The wedges of a half-edge ``a ->
-      x`` end at the neighbours of ``x`` past ``a``, as many as follow its
-      twin ``x -> a`` in its row (:func:`_twins`), so no row is searched.
-      The block counts its keys with one ``bincount`` over the span, as
-      int64, if the span is no larger than ``K``, or else by sorting them,
-      as int32 if the span is at most 2^31 (see :func:`_key_counts`).
-
-    No key spans two blocks.  Every side adds, for its block, ``c_ab (c_ab
-    - 1)`` over the pairs and ``c_ab`` and ``(k_a + k_b) c_ab`` over the
-    edges.  Each ``c_ab <= n`` and the ``c_ab`` of a block add up to its
-    ``K``, so its int64 sums stay below ``2n·K``.  A listed block holds its
-    keys, so ``K < 2^36``; a bitset block of ``r`` rows has ``K <= 2m·r``
-    and ``r·n <= max(n, _TABLE_KEYS)``, so ``2n·K <= 4·max(n, 2^16)·m``.
-    Both are below 2^62 for ``n <= 2^25`` and ``m < 2^35``, and the block
-    sums are added up as Python ints.
-    """
+def _table_blocks(g: Graph) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Each block of :func:`table_census`'s table as ``(c4_scaled, pairs,
+    c_edge, weight)``: its share of ``c4_scaled``, its distinct pairs ``a <
+    b`` with ``c_ab > 0``, and the ``c_st`` and ``k_s + k_t`` of its edges
+    ``s < t``."""
     n, k = g.n, g.degree_array
-    if n * n <= _TABLE_KEYS and n * n * -(-n // 64) <= int((k * (k - 1)).sum()) // 2:
-        return _product_census(g)
+    words, rows = -(-n // 64), max(1, _TABLE_KEYS // max(n, 1))
+    # the loop's rule for a first block of every row, whose K is the W of
+    # the degrees: a dense block, filled by the product of the whole graph
+    if n <= rows and n * n * words <= int((k * (k - 1)).sum()) // 2:
+        s, t = g.edge_u, g.edge_v
+        edge = s * n + t
+        adjacency = np.zeros(n * n, dtype=np.float32)
+        adjacency[edge] = adjacency[t * n + s] = 1
+        adjacency = adjacency.reshape(n, n)
+        yield *_dense_sums((adjacency @ adjacency).astype(np.int64), edge), k[s] + k[t]
+        return
     indptr, indices = g.indptr, g.indices
     owner = np.repeat(np.arange(n), k)
     # the ends b > a of the wedges a-x-b are the neighbours of x past a; a
@@ -321,26 +291,22 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
     keys_to = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, weights=ahead, minlength=n).astype(np.int64), out=keys_to[1:])
     entries_to = keys_to + np.concatenate(([0], np.cumsum(owner < indices)))[indptr]
-    words, rows = -(-n // 64), max(1, _TABLE_KEYS // max(n, 1))
     bits = twin = None
-    mu2 = s_twice = c4_scaled = pairs = 0
     lo = 0
     while lo < n:
         hi = min(n, lo + rows)
-        bitset = (hi - lo) * n * words <= keys_to[hi] - keys_to[lo]
-        if not bitset:
+        dense = (hi - lo) * n * words <= keys_to[hi] - keys_to[lo]
+        if not dense:
             hi = max(lo + 1, int(np.searchsorted(entries_to, entries_to[lo] + _TABLE_KEYS, "right")) - 1)
         block = slice(indptr[lo], indptr[hi])
         a, x = owner[block], indices[block]
-        edge = a < x
-        if bitset:
+        s, t = a[a < x], x[a < x]
+        if dense:
             if bits is None:
                 # n·w <= K / (hi - lo) <= 2m words: no larger than the half-edges
                 bits = _bitsets(n, owner, indices)
-            counts = _bitset_counts(bits, lo, hi)
-            c_edge = counts[a[edge] - lo, x[edge] - lo]
-            counts = np.triu(counts, 1)
-            c = counts[counts > 0].astype(np.int64)
+            counts = _bitset_counts(bits, lo, hi).astype(np.int64)
+            yield *_dense_sums(counts, (s - lo) * (n - lo) + t - lo), k[s] + k[t]
         else:
             if twin is None:
                 twin = _twins(n, owner, indices)
@@ -357,12 +323,60 @@ def table_census(g: Graph) -> tuple[CensusReport, int]:
             keys = np.repeat(((a - lo) * n).astype(dtype), length)
             keys += indices[at]
             del at
-            c, c_edge = _key_counts(keys, ((a - lo) * n + x)[edge].astype(dtype), span)
-        c4_scaled += int((c * (c - 1)).sum())
-        mu2 += int(c_edge.sum())
-        s_twice += int(((k[a] + k[x])[edge] * c_edge).sum())
-        pairs += len(c) + int((c_edge == 0).sum())
+            c, c_edge = _key_counts(keys, ((s - lo) * n + t).astype(dtype), span)
+            yield int((c * (c - 1)).sum()), len(c), c_edge, k[s] + k[t]
         lo = hi
+
+
+def table_census(g: Graph) -> tuple[CensusReport, int]:
+    """The census from one table of vertex pairs, and the number of
+    distinct pairs it names: the edges and the ends of every wedge.
+
+    Each wedge ``a-x-b`` with ``a < b`` adds the key ``a·n + b``, so
+    ``c_ab`` is the number of equal keys.  The table is read one block of
+    rows ``lo <= a < hi`` at a time (:func:`_table_blocks`), and each block
+    takes one of two sides from its own shape, with ``K`` its number of
+    keys and ``w = ⌈n/64⌉``:
+
+    * dense, when ``(hi - lo)·n·w <= K``: one word operation per pair ``a,
+      b`` and 64 columns costs no more than listing the keys.  The block
+      covers about ``_TABLE_KEYS`` pairs ``a, b``, and a kernel chosen by
+      its shape fills a matrix of every ``c_ab`` with ``b >= lo``, from
+      which :func:`_dense_sums` reads the block's sums.  A block of every
+      row, which needs ``n² <= _TABLE_KEYS`` and ``n²·w`` at most ``W =
+      sum_x k_x (k_x - 1) / 2``, is the float32 product ``A·A`` of the
+      adjacency matrix ``A``, written from ``edge_u``/``edge_v``, so no
+      adjacency rows are built.  It is exact however BLAS orders or blocks
+      its sums: each entry adds up ``n`` products of 0 and 1, so every
+      partial sum is an integer of at most ``n <= 256 < 2^24``.  Its
+      working set is two ``n × n`` float32 matrices and one int64 one, 1
+      MiB at ``n = 256``.  Any other dense block reads every ``c_ab`` as
+      the bits two packed adjacency rows share (:func:`_bitset_counts`).
+    * listed, otherwise: the block lists about ``_TABLE_KEYS`` keys and
+      edges, stored relative to the block as ``(a - lo)·n + b`` below its
+      span ``(hi - lo)·n``.  The wedges of a half-edge ``a -> x`` end at
+      the neighbours of ``x`` past ``a``, as many as follow its twin ``x
+      -> a`` in its row (:func:`_twins`), so no row is searched.  The block
+      counts its keys with one ``bincount`` over the span, as int64, if
+      the span is no larger than ``K``, or else by sorting them, as int32
+      if the span is at most 2^31 (see :func:`_key_counts`).
+
+    No key spans two blocks.  Every block adds ``c_ab (c_ab - 1)`` over its
+    pairs, and every side's block sums go into one accumulation of ``c_ab``
+    and ``(k_a + k_b) c_ab`` over the edges and of the pair count.  Each
+    ``c_ab <= n`` and the ``c_ab`` of a block add up to its ``K``, so its
+    int64 sums stay below ``2n·K``.  A listed block holds its keys, so ``K
+    < 2^36``; a dense block of ``r`` rows has ``K <= 2m·r`` and ``r·n <=
+    max(n, _TABLE_KEYS)``, so ``2n·K <= 4·max(n, 2^16)·m``.  Both are below
+    2^62 for ``n <= 2^25`` and ``m < 2^35``, and the block sums are added
+    up as Python ints.
+    """
+    mu2 = s_twice = c4_scaled = pairs = 0
+    for block_c4, block_pairs, c_edge, weight in _table_blocks(g):
+        c4_scaled += block_c4
+        mu2 += int(c_edge.sum())
+        s_twice += int((weight * c_edge).sum())
+        pairs += block_pairs + int((c_edge == 0).sum())
     return reduce_census(g, mu2, _exact_quotient(s_twice, 2, "s_sum"), c4_scaled), pairs
 
 

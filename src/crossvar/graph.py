@@ -51,10 +51,10 @@ class Graph:
     An edge given more than once, in either orientation, is kept once.
     The arrays (see the module docstring) are read-only, and the structure
     is immutable after construction and safe to share across threads.
-    ``indptr``/``indices``, ``adjacency`` (strictly increasing tuples),
-    ``degrees`` and ``edges()`` are built on first use and kept; the
-    tuples hold Python ints, with one int object per vertex shared between
-    them.  Each lazy build is idempotent and stores its result with one
+    ``indptr``/``indices``, ``adjacency`` (strictly increasing tuples) and
+    ``degrees`` are built on first use and kept; ``adjacency``'s tuples
+    hold Python ints, with one int object per vertex shared among them.
+    Each lazy build is idempotent and stores its result with one
     attribute assignment, so two threads that race on it each build equal
     values and either may be kept.  The acyclicity test runs once and its
     answer is kept.
@@ -168,8 +168,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as ``(u, v)`` with ``u < v``, in ``(u, v)`` order."""
-        ids = self._ids()
-        return zip(ids[self.edge_u].tolist(), ids[self.edge_v].tolist())
+        return zip(self.edge_u.tolist(), self.edge_v.tolist())
 
     def is_forest(self) -> bool:
         """Whether the graph has no cycle; computed on the first call."""

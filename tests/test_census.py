@@ -172,15 +172,21 @@ class TestProductCensus:
 
     @staticmethod
     def _product(g):
-        """``_product_census(g)``, checked against criterion 8's bound on the
-        pair count, and whether it left the adjacency rows unbuilt.  Every
+        """``table_census(g)``, checked against criterion 8's bound on the
+        pair count, whether it left the adjacency rows unbuilt, and how many
+        dense blocks it read from a product rather than from bitsets.  Every
         count is a Python int, as JSON output needs."""
-        result = census._product_census(g)
+        with mock.patch.object(census, "_dense_sums", wraps=census._dense_sums) as dense, \
+                mock.patch.object(census, "_bitset_counts", wraps=census._bitset_counts) as bitset:
+            result = census.table_census(g)
         unbuilt = g._rows is None
+        products = dense.call_count - bitset.call_count
+        # a product block is the table's only block and holds every c_ab
+        assert not products or (dense.call_count == 1 and dense.call_args.args[0].shape == (g.n, g.n))
         c, pairs = result
         assert all(type(x) is int for x in (pairs, *c.to_json_dict().values()))
         assert pairs <= g.m + sum(k * (k - 1) // 2 for k in g.degrees) - 3 * c.nC3
-        return result, unbuilt
+        return result, unbuilt, products
 
     @pytest.mark.parametrize("g", [
         *(complete(n) for n in range(2, 41)),
@@ -190,8 +196,12 @@ class TestProductCensus:
         Graph(0, []),
     ], ids=repr)
     def test_equals_the_merge(self, g):
-        result, unbuilt = self._product(g)
-        assert unbuilt
+        # the table's one block is a dense one when its n² pairs times
+        # ⌈n/64⌉ words are at most its W keys; K4, K_{4,4} and smaller are not
+        wedges = sum(k * (k - 1) // 2 for k in g.degrees)
+        one_block = g.n ** 2 <= census._TABLE_KEYS and g.n ** 2 * -(-g.n // 64) <= wedges
+        result, unbuilt, products = self._product(g)
+        assert unbuilt == one_block and products == one_block
         assert result == (fast_census(g), len(_pairs(g)))
 
     @pytest.mark.parametrize("n", [255, 256])
@@ -200,8 +210,8 @@ class TestProductCensus:
         # blocks of a quarter of the rows, which other tests check against
         # it, does not
         g = er(n, 0.5, seed=n)
-        result, unbuilt = self._product(g)
-        assert unbuilt
+        result, unbuilt, products = self._product(g)
+        assert unbuilt and products == 1
         blocked, sides, _ = TestPairTable._sides(g, table_keys=n * n // 4)
         assert sides[0] > 1
         assert result == blocked == (blocked[0], len(_pairs(g)))
@@ -213,11 +223,13 @@ class TestProductCensus:
         Graph(0, []),
     ], ids=repr)
     def test_table_takes_the_product(self, g):
-        with mock.patch.object(census, "_product_census", wraps=census._product_census) as product:
-            result = census.table_census(g)
-        assert product.call_count == 1
-        assert g._rows is None
-        assert result == self._product(g)[0]
+        with mock.patch.object(census, "_bitset_counts", wraps=census._bitset_counts) as bitset, \
+                mock.patch.object(census, "_key_counts", wraps=census._key_counts) as listed:
+            result, unbuilt, products = self._product(g)
+        assert products == 1 and not bitset.called and not listed.called
+        assert unbuilt
+        # the same table in blocks of a quarter of the rows, read from bitsets
+        assert result == TestPairTable._sides(g, table_keys=max(1, g.n * g.n // 4))[0]
 
     @pytest.mark.parametrize("g", [
         # n² past the table's block of pairs, however dense
@@ -228,11 +240,12 @@ class TestProductCensus:
         complete_bipartite(4, 4),
     ], ids=repr)
     def test_other_graphs_take_the_table(self, g):
-        with mock.patch.object(census, "_product_census", wraps=census._product_census) as product:
-            result = census.table_census(g)
-        assert not product.called
-        assert g._rows is not None
-        assert result == self._product(g)[0]
+        result, unbuilt, products = self._product(g)
+        assert not products
+        assert not unbuilt
+        # the whole table as one block: a product where the graph is dense enough
+        with mock.patch.object(census, "_TABLE_KEYS", 1 << 30):
+            assert result == self._product(g)[0]
 
 
 class TestCountsAgainstBrute:

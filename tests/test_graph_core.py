@@ -126,6 +126,16 @@ class TestLazyAdjacency:
                 a[0] = 1
         assert g.indptr is indptr and g.indices is indices
 
+    def test_edges_leave_the_vertex_ids_unbuilt(self):
+        # a matching of 200 edges among 10^5 vertices: an object array of
+        # every vertex would outweigh the edges many times over
+        g = Graph(10 ** 5, [(2 * i, 2 * i + 1) for i in range(200)])
+        edges = list(g.edges())
+        assert edges == [(2 * i, 2 * i + 1) for i in range(200)]
+        assert all(type(x) is int for edge in edges for x in edge)
+        assert g._vertex_ids is None
+        assert g.adjacency[1] == (0,) and g._vertex_ids is not None
+
     @pytest.mark.parametrize("make", [
         lambda: random_tree(2000, seed=1), lambda: random_forest(500, seed=2),
     ])
