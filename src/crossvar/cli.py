@@ -8,6 +8,11 @@ Every input file is read as UTF-8, a leading byte-order mark dropped, by
 :func:`crossvar.graph.read_text` and split into lines by one rule,
 :func:`crossvar.graph.lines`.
 
+The argument parser is built on the first :func:`main` call and shared
+by every later call in the process, so an in-process caller that runs
+many commands pays for its build once; a one-shot ``crossvar`` process
+still builds one.
+
 Exit codes: 0 success, 1 selftest failure, 2 input/parse error or out of
 memory, 3 algorithm not applicable, 4 degenerate statistics.  Each error
 is one ``error:`` line on stderr, not a traceback; a file that is not
@@ -18,6 +23,7 @@ as that of collapsed duplicate edges, is one ``warning:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -133,7 +139,16 @@ def cmd_selftest(args) -> dict:
     return {**asdict(report), "ok": report.ok}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    ``parse_args`` assigns nothing on a parser, its subparsers or their
+    actions: each call fills a namespace of its own, so the parser is safe
+    to share across calls and threads.  The ``cmd_*`` functions are bound
+    at the build; they look up what they call, such as ``load_graph``, at
+    each call, so patch those names, not the commands.
+    """
     parser = argparse.ArgumentParser(
         prog="crossvar",
         description="Exact crossing-count statistics of graphs under random layouts.",
@@ -176,7 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: its payload is printed here, and the exit code
-    chosen here, from the payload or the error the command raised."""
+    chosen here, from the payload or the error the command raised.
+
+    The parser is built by the first call in the process and reused by
+    every later one, so a later call pays only ``parse_args``.
+    """
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():

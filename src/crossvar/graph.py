@@ -167,8 +167,14 @@ class Graph:
         return i < len(adj) and adj[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as ``(u, v)`` with ``u < v``, in ``(u, v)`` order."""
-        return zip(self.edge_u.tolist(), self.edge_v.tolist())
+        """Yield each edge once as ``(u, v)`` with ``u < v``, in ``(u, v)`` order.
+
+        The edges share one Python int per vertex of nonzero degree; no
+        array as long as the vertex count is built.
+        """
+        touched = np.flatnonzero(self.degree_array)
+        ids = touched.astype(object)[np.searchsorted(touched, np.concatenate((self.edge_u, self.edge_v)))]
+        return zip(ids[:self.m].tolist(), ids[self.m:].tolist())
 
     def is_forest(self) -> bool:
         """Whether the graph has no cycle; computed on the first call."""

@@ -523,3 +523,76 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["bench", "--n-list", "10", "--graphs", "1"])
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """One process builds one parser, and every call through it prints
+    what a fresh ``crossvar`` process prints."""
+
+    # run in a fresh interpreter on a JSON list of argv lists; prints the
+    # crossvar parsers made by the import and by the end, whether the calls
+    # left the parser's state as they found it, and each call's stdout,
+    # stderr and exit code
+    RUNNER = """
+import argparse, contextlib, io, json, sys
+made = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import crossvar.cli as cli
+built = [made.count("crossvar")]
+
+def state(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return repr([(vars(p), [vars(a) for a in p._actions])
+                 for p in (parser, *sub.choices.values())])
+
+before, calls = state(cli.build_parser()), []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    calls.append([out.getvalue(), err.getvalue(), code])
+built.append(made.count("crossvar"))
+print(json.dumps({"built": built, "unchanged": before == state(cli.build_parser()),
+                  "calls": calls}))
+"""
+
+    def test_one_build_and_the_output_of_fresh_processes(self, tmp_path):
+        g = erdos_renyi(12, 0.4, seed=1)
+        graph = write_graph(tmp_path / "graph.txt", g)
+        # one edge given twice, so every command that loads the graph warns
+        with open(graph, "a") as fh:
+            fh.write("{1} {0}\n".format(*next(g.edges())))
+        sequence = [
+            ["variance", graph, "--json"],
+            ["zscore", graph],  # argparse exits 2: neither --observed nor --arrangement
+            ["zscore", graph, "--observed", "5"],
+            ["stats", graph],
+            ["variance", "--help"],
+            ["variance", graph, "--algorithm", "general", "--json"],
+            ["variance", graph, "--json"],
+        ]
+        src = str(Path(crossvar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def run(*args):
+            return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                                  text=True, timeout=120)
+
+        proc = run("-c", self.RUNNER, json.dumps(sequence))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        # none at import, one for the process
+        assert report["built"] == [0, 1]
+        assert report["unchanged"]
+        fresh = [run("-m", "crossvar.cli", *argv) for argv in sequence]
+        assert report["calls"] == [[p.stdout, p.stderr, p.returncode] for p in fresh]
+        assert [code for _, _, code in report["calls"]] == [0, 2, 0, 0, 0, 0, 0]
+        assert sum("warning: collapsed 1 duplicate edge(s)" in err
+                   for _, err, _ in report["calls"]) == 5

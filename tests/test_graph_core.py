@@ -127,14 +127,30 @@ class TestLazyAdjacency:
         assert g.indptr is indptr and g.indices is indices
 
     def test_edges_leave_the_vertex_ids_unbuilt(self):
-        # a matching of 200 edges among 10^5 vertices: an object array of
-        # every vertex would outweigh the edges many times over
-        g = Graph(10 ** 5, [(2 * i, 2 * i + 1) for i in range(200)])
-        edges = list(g.edges())
+        # a matching of 200 edges among 10^6 vertices: an object array of
+        # every vertex, or an int64 array over them (8 MB), would outweigh
+        # the edges many times over
+        g = Graph(10 ** 6, [(2 * i, 2 * i + 1) for i in range(200)])
+        tracemalloc.start()
+        try:
+            edges = list(g.edges())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         assert edges == [(2 * i, 2 * i + 1) for i in range(200)]
         assert all(type(x) is int for edge in edges for x in edge)
         assert g._vertex_ids is None
         assert g.adjacency[1] == (0,) and g._vertex_ids is not None
+
+    def test_edges_share_one_int_per_vertex(self):
+        # ids past 256, which CPython does not keep as shared small ints
+        a, b, c, d = 300, 301, 302, 303
+        g = Graph(400, [(c, d), (a, c), (b, c), (a, b)])
+        edges = list(g.edges())
+        assert edges == [(a, b), (a, c), (b, c), (c, d)]
+        assert len({id(x) for edge in edges for x in edge}) == 4
+        assert g._vertex_ids is None
 
     @pytest.mark.parametrize("make", [
         lambda: random_tree(2000, seed=1), lambda: random_forest(500, seed=2),
