@@ -50,7 +50,6 @@ The pair-by-pair count is kept as the oracle
 from __future__ import annotations
 
 import math
-import operator
 import os
 import reprlib
 import sys
@@ -68,7 +67,7 @@ from .errors import (
     OracleBudgetError,
     ValidationError,
 )
-from .graph import Graph, lines, read_number, scan_ids, vertex_ids
+from .graph import Graph, integer, lines, read_number, scan_ids, vertex_ids
 
 #: largest vertex count whose n! orders exhaustive_distribution enumerates
 EXHAUSTIVE_LIMIT = 9
@@ -461,18 +460,16 @@ def monte_carlo(g: Graph, samples: int, seed: int = 0) -> MonteCarloResult:
     ``_SWEEP_BYTES`` per worker plus the samples.  More than
     :data:`MAX_SAMPLES` samples are refused before anything is allocated.
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValidationError(
-            f"samples must be an integer, got {reprlib.repr(samples)}"
-        ) from None
+    samples = integer(samples, "samples")
     if samples < 2:
         raise ValidationError("need at least 2 samples for a variance estimate")
     if samples > MAX_SAMPLES:
         raise ValidationError(
             f"samples must be at most {MAX_SAMPLES} (2^27), got {samples}"
         )
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     base = np.arange(g.n, dtype=np.int64)
 

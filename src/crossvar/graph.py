@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -54,19 +55,20 @@ class Graph:
     ``indptr``/``indices``, ``adjacency`` (strictly increasing tuples) and
     ``degrees`` are built on first use and kept; ``adjacency``'s tuples
     hold Python ints, with one int object per vertex shared among them.
-    Each lazy build is idempotent and stores its result with one
-    attribute assignment, so two threads that race on it each build equal
-    values and either may be kept.  The acyclicity test runs once and its
-    answer is kept.
+    No array of per-vertex ids is kept: a graph holds an id only where an
+    adjacency tuple holds it.  Each lazy build is idempotent and stores
+    its result with one attribute assignment, so two threads that race on
+    it each build equal values and either may be kept.  The acyclicity
+    test runs once and its answer is kept.
     """
 
     __slots__ = (
         "n", "m", "edge_u", "edge_v", "degree_array",
-        "_rows", "_vertex_ids", "_adjacency", "_degrees", "_forest",
+        "_rows", "_adjacency", "_degrees", "_forest",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        n = operator.index(n)
+        n = integer(n, "vertex count")
         if n < 0:
             raise ValidationError("vertex count must be non-negative")
         if n > MAX_VERTICES:
@@ -100,7 +102,7 @@ class Graph:
         self.edge_u = _frozen(u)
         self.edge_v = _frozen(v)
         self.degree_array = _frozen(degree.astype(np.int64, copy=False))
-        self._rows = self._vertex_ids = self._adjacency = self._degrees = self._forest = None
+        self._rows = self._adjacency = self._degrees = self._forest = None
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -138,17 +140,15 @@ class Graph:
         self._rows = (_frozen(indptr), _frozen(arcs))
         return self._rows
 
-    def _ids(self) -> np.ndarray:
-        """The vertices as an object array of Python ints, one per vertex."""
-        if self._vertex_ids is None:
-            self._vertex_ids = np.arange(self.n).astype(object)
-        return self._vertex_ids
-
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every vertex."""
+        """Sorted neighbour tuple of every vertex.
+
+        The tuples share one Python int per vertex, taken from an object
+        array of the vertex ids that is dropped after the build.
+        """
         if self._adjacency is None:
-            flat = tuple(self._ids()[self.indices].tolist())
+            flat = tuple(np.arange(self.n).astype(object)[self.indices].tolist())
             bounds = self.indptr.tolist()
             self._adjacency = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         return self._adjacency
@@ -195,6 +195,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int by :func:`operator.index`, so that ``bool`` and
+    numpy integers are taken and no float is truncated; anything else
+    raises ``<what> must be an integer``, with ``value`` shortened by
+    :mod:`reprlib`.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
 
 
 def vertex_ids(values, what: str) -> np.ndarray:

@@ -521,6 +521,23 @@ class TestMonteCarlo:
             monte_carlo(path(4), samples, seed=0)
         assert monte_carlo(path(4), np.int64(3), seed=0).samples == 3
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be non-negative, got -1$"),
+        (1.5, "^seed must be an integer, got 1.5$"),
+        ("3", "^seed must be an integer, got '3'$"),
+        # fresh entropy would make the call irreproducible
+        (None, "^seed must be an integer, got None$"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            monte_carlo(path(4), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), 2**70])
+    def test_integer_seeds_are_taken(self, seed):
+        result = monte_carlo(path(4), 10, seed=seed)
+        assert result.samples == 10 and monte_carlo(path(4), 10, seed=seed) == result
+        assert monte_carlo(path(4), 10, seed=int(seed)) == result
+
 
 class TestZscore:
     def test_c4_observed_two(self):

@@ -68,12 +68,24 @@ class TestArrays:
 
     @pytest.mark.parametrize("n, edges, message", [
         (-1, [], "vertex count must be non-negative"),
+        (3.0, [], r"^vertex count must be an integer, got 3\.0$"),
+        ("3", [], "^vertex count must be an integer, got '3'$"),
+        (None, [], "^vertex count must be an integer, got None$"),
+        ("9" * 100, [], r"^vertex count must be an integer, got '9+\.\.\.9+'$"),
         (3, [(0, 1, 2)], "every edge must be a pair of vertices"),
         (3, [(0, 2**70)], "vertex id out of range"),
-    ], ids=["negative-n", "three-ids", "id-past-int64"])
+    ], ids=["negative-n", "float-n", "string-n", "none-n", "long-string-n", "three-ids",
+            "id-past-int64"])
     def test_bad_counts_and_edges_are_refused(self, n, edges, message):
         with pytest.raises(ValidationError, match=message):
             Graph(n, edges)
+
+    def test_integer_like_counts_are_taken(self):
+        assert Graph(np.int64(3), [(0, 2)]) == Graph(3, [(0, 2)])
+        assert Graph(True, []) == Graph(1, [])
+        assert Graph.from_edges([(0, 1)], n=np.uint8(4)) == Graph(4, [(0, 1)])
+        with pytest.raises(ValidationError, match="vertex count must be an integer, got 1.5"):
+            Graph.from_edges([(0, 1)], n=1.5)
 
     @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
     def test_unsigned_ids_past_int64_are_refused(self, big):
@@ -140,8 +152,23 @@ class TestLazyAdjacency:
         assert peak < 2 ** 20
         assert edges == [(2 * i, 2 * i + 1) for i in range(200)]
         assert all(type(x) is int for edge in edges for x in edge)
-        assert g._vertex_ids is None
-        assert g.adjacency[1] == (0,) and g._vertex_ids is not None
+
+    def test_adjacency_keeps_no_array_of_every_vertex(self):
+        # the same matching: with its rows built, the adjacency holds one
+        # pointer per vertex and one int per matched vertex; an object array
+        # of every vertex id, kept past the build, would hold about 40 MB more
+        g = Graph(10 ** 6, [(2 * i, 2 * i + 1) for i in range(200)])
+        assert len(g.indptr) == 10 ** 6 + 1
+        tracemalloc.start()
+        try:
+            adjacency = g.adjacency
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 10 ** 6
+        assert adjacency[:4] == ((1,), (0,), (3,), (2,))
+        assert adjacency[400:] == ((),) * (10 ** 6 - 400)
+        assert all(type(x) is int for row in adjacency for x in row)
 
     def test_edges_share_one_int_per_vertex(self):
         # ids past 256, which CPython does not keep as shared small ints
@@ -150,7 +177,12 @@ class TestLazyAdjacency:
         edges = list(g.edges())
         assert edges == [(a, b), (a, c), (b, c), (c, d)]
         assert len({id(x) for edge in edges for x in edge}) == 4
-        assert g._vertex_ids is None
+        rows = g.adjacency[a:d + 1]
+        assert rows == ((b, c), (a, c), (a, b, d), (c,))
+        assert all(type(x) is int for row in rows for x in row)
+        # each id, wherever it appears among the tuples, is one object
+        assert len({id(x) for row in rows for x in row}) == 4
+        assert rows[0][1] is rows[1][1] is rows[3][0]
 
     @pytest.mark.parametrize("make", [
         lambda: random_tree(2000, seed=1), lambda: random_forest(500, seed=2),
